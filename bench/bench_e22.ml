@@ -1,15 +1,10 @@
-(* E22: the flat execution core.  Three questions, one record:
+(* E22: the flat execution core.  Two questions, one record:
 
-   1. Differential: the flat arena path and the legacy boxed path must
-      produce equal verdicts over the whole boundary grid (the byte-level
-      version of this check lives in the @perf-smoke suite; here it gates
-      the measurements).
-   2. Throughput: cold-sweep executions/sec on the flat path vs the boxed
-      path in this binary, at jobs = 1.  The cross-binary comparison
-      against the pre-flat-core revision is measured offline (the method
-      and figure are recorded in EXPERIMENTS.md) and passed in as
-      [baseline_execs_per_sec] so the record carries it.
-   3. Scaling: cold-sweep wall time must be monotone non-increasing in the
+   1. Throughput: cold-sweep executions/sec at jobs = 1.  The cross-binary
+      comparison against the pre-flat-core revision is measured offline
+      (the method and figure are recorded in EXPERIMENTS.md) and passed in
+      as [baseline_execs_per_sec] so the record carries it.
+   2. Scaling: cold-sweep wall time must be monotone non-increasing in the
       jobs count (within [tolerance]), and on a multicore box the best
       speedup must clear [cores x 0.6].  On a single-core box the speedup
       criterion cannot hold by construction, so it auto-relaxes to a
@@ -22,51 +17,27 @@ let wall = Metrics.wall_now
 
 let q = Bench_json.quantize_us
 
-(* One cold boundary sweep on a fresh engine; returns (wall, executions,
-   verdicts). *)
+(* One cold boundary sweep on a fresh engine; returns (wall, executions). *)
 let cold_sweep ~jobs ~n_max ~f_max =
   let eng = Engine.create ~jobs () in
   let t0 = wall () in
-  let cells = Engine.nf_boundary eng ~n_max ~f_max in
+  ignore (Engine.nf_boundary eng ~n_max ~f_max);
   let dt = wall () -. t0 in
   let snap = Metrics.snapshot (Engine.metrics eng) in
   Engine.shutdown eng;
-  dt, snap.Metrics.executions_run, cells
+  dt, snap.Metrics.executions_run
 
 let run ?out ?baseline_execs_per_sec ?(tolerance = 0.15) ~n_max ~f_max
     ~jobs_list () =
   let cores = Domain.recommended_domain_count () in
-  (* --- storage differential + throughput at jobs = 1 ---------------------- *)
-  let boxed_dt, boxed_execs, boxed_cells =
-    Exec.with_boxed_for_testing (fun () -> cold_sweep ~jobs:1 ~n_max ~f_max)
-  in
-  let flat_dt, flat_execs, flat_cells = cold_sweep ~jobs:1 ~n_max ~f_max in
-  let verdicts_equal = boxed_cells = flat_cells in
-  if not verdicts_equal then
-    failwith "E22: flat and boxed sweeps disagree on the boundary grid";
-  let per_sec execs dt = if dt > 0.0 then float_of_int execs /. dt else 0.0 in
-  let flat_eps = per_sec flat_execs flat_dt in
-  let boxed_eps = per_sec boxed_execs boxed_dt in
-  let storage_runs =
-    [ Bench_json.run_record ~label:"sweep_cold_boxed_j1" ~jobs:1
-        ~wall_seconds:(q boxed_dt)
-        ~extra:[ "executions", Bench_json.Int boxed_execs ]
-        ();
-      Bench_json.run_record ~label:"sweep_cold_flat_j1" ~jobs:1
-        ~wall_seconds:(q flat_dt)
-        ~extra:[ "executions", Bench_json.Int flat_execs ]
-        ();
-    ]
-  in
-  (* --- jobs scaling on the flat path -------------------------------------- *)
   let scaling =
     List.map
       (fun jobs ->
-        let dt, execs, _ = cold_sweep ~jobs ~n_max ~f_max in
+        let dt, execs = cold_sweep ~jobs ~n_max ~f_max in
         jobs, dt, execs)
       jobs_list
   in
-  let scaling_runs =
+  let runs =
     List.map
       (fun (jobs, dt, execs) ->
         Bench_json.run_record
@@ -86,9 +57,12 @@ let run ?out ?baseline_execs_per_sec ?(tolerance = 0.15) ~n_max ~f_max
     in
     check scaling
   in
-  let j1_dt =
-    match scaling with (1, dt, _) :: _ -> dt | _ -> flat_dt
+  let j1_dt, j1_execs =
+    match scaling with
+    | (1, dt, execs) :: _ -> dt, execs
+    | _ -> invalid_arg "Bench_e22.run: jobs_list must start with 1"
   in
+  let flat_eps = if j1_dt > 0.0 then float_of_int j1_execs /. j1_dt else 0.0 in
   let best_speedup =
     List.fold_left
       (fun best (_, dt, _) ->
@@ -107,11 +81,6 @@ let run ?out ?baseline_execs_per_sec ?(tolerance = 0.15) ~n_max ~f_max
       cores best_speedup speedup_target;
   let derived =
     [ "flat_execs_per_sec", Bench_json.Float (q flat_eps);
-      "boxed_execs_per_sec", Bench_json.Float (q boxed_eps);
-      ( "flat_vs_boxed_speedup",
-        Bench_json.Float (q (if boxed_eps > 0.0 then flat_eps /. boxed_eps else 0.0))
-      );
-      "verdicts_equal", Bench_json.Bool verdicts_equal;
       "wall_monotone_in_jobs", Bench_json.Bool monotone;
       "best_jobs_speedup", Bench_json.Float (q best_speedup);
       "jobs_speedup_target", Bench_json.Float (q speedup_target);
@@ -138,7 +107,7 @@ let run ?out ?baseline_execs_per_sec ?(tolerance = 0.15) ~n_max ~f_max
           "cores", Bench_json.Int cores;
         ]
       ~derived
-      ~runs:(storage_runs @ scaling_runs)
+      ~runs
       ()
   in
   (match out with Some path -> Bench_json.write_file ~path json | None -> ());

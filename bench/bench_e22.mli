@@ -1,16 +1,14 @@
-(** E22: the flat execution core — boxed-vs-flat differential throughput
-    and jobs scaling of the cold boundary sweep.
+(** E22: the flat execution core — cold boundary sweep throughput and jobs
+    scaling.
 
     [run] executes the experiment and returns its {!Bench_json} record
-    (writing it to [out] when given): a [sweep_cold_boxed_j1] /
-    [sweep_cold_flat_j1] pair measured with {!Exec.with_boxed_for_testing}
-    (the verdicts of the two sweeps must be equal — [run] fails otherwise),
-    then one [sweep_cold_jN] run per entry of [jobs_list] on the flat path.
-    Derived figures: executions/sec each way, the flat-vs-boxed speedup,
-    whether wall time is monotone non-increasing in jobs (within
-    [tolerance], default 0.15), and the multicore criterion
-    [best speedup >= cores x 0.6] — auto-relaxed to a printed warning when
-    [Domain.recommended_domain_count () = 1], where it cannot hold.
+    (writing it to [out] when given): one [sweep_cold_jN] run per entry of
+    [jobs_list], which must start with 1 ([Invalid_argument] otherwise).
+    Derived figures: executions/sec at jobs = 1, whether wall time is
+    monotone non-increasing in jobs (within [tolerance], default 0.15), and
+    the multicore criterion [best speedup >= cores x 0.6] — auto-relaxed to
+    a printed warning when [Domain.recommended_domain_count () = 1], where
+    it cannot hold.
 
     [baseline_execs_per_sec], when given, is the cold j1 throughput of the
     pre-flat-core binary measured offline (see EXPERIMENTS.md E22 for the

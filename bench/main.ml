@@ -820,8 +820,8 @@ let e18 () =
 
 let e22 () =
   section "E22"
-    "flat execution core: boxed-vs-flat differential throughput at jobs=1 \
-     and jobs scaling of the cold boundary sweep";
+    "flat execution core: cold boundary sweep throughput at jobs=1 and \
+     jobs scaling";
   (* The pre-flat-core baseline: bin/main.exe at commit d62ea01 (the revision
      before the arena executor landed), rebuilt in a git worktree and run as
      `flm sweep --n-max 12 --f-max 2 --jobs 1 --metrics` — 500 executions in
@@ -842,11 +842,9 @@ let e22 () =
   (match Bench_json.member "derived" json with
   | Some d ->
     Format.printf
-      "flat %.0f execs/s vs boxed %.0f execs/s (%.2fx); vs pre-flat baseline \
-       %.0f execs/s (%.1fx, expected >= 2x); wall monotone in jobs: %b@."
+      "flat %.0f execs/s; vs pre-flat baseline %.0f execs/s (%.1fx, \
+       expected >= 2x); wall monotone in jobs: %b@."
       (num "flat_execs_per_sec" d)
-      (num "boxed_execs_per_sec" d)
-      (num "flat_vs_boxed_speedup" d)
       (num "baseline_pre_flat_execs_per_sec" d)
       (num "flat_vs_baseline_speedup" d)
       (match Bench_json.member "wall_monotone_in_jobs" d with

@@ -43,6 +43,46 @@ let f_arg =
     & opt int 1
     & info [ "f"; "faults" ] ~docv:"F" ~doc:"Number of faults tolerated.")
 
+(* Shared by each batch subcommand and its [flm query] twin, so the two
+   spellings cannot drift apart. *)
+let n_max_arg =
+  Cmdliner.Arg.(value & opt int 12 & info [ "n-max" ] ~doc:"Largest n.")
+
+let f_max_arg =
+  Cmdliner.Arg.(value & opt int 2 & info [ "f-max" ] ~doc:"Largest f.")
+
+let family_arg =
+  let open Cmdliner in
+  Arg.(
+    required
+    & opt (some family_spec_conv) None
+    & info [ "g"; "graph" ] ~docv:"FAMILY"
+        ~doc:"Target graph family, e.g. harary:3:7.")
+
+let fault_seed_arg =
+  let open Cmdliner in
+  Arg.(
+    value & opt int 42
+    & info [ "fault-seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed for every randomized fault decision; the same seed \
+           reproduces the same trials, whatever the jobs count.")
+
+let strategy_arg =
+  let open Cmdliner in
+  Arg.(
+    value
+    & opt strategy_conv "chaos"
+    & info [ "strategy" ] ~docv:"STRATEGY"
+        ~doc:
+          "Fault strategy: drop[:P] | dup[:P] | corrupt[:P] | equivocate | \
+           replay | crash | delay[:D] | mobile[:P] | poison | stall[:MS] | \
+           chaos (weighted mix of the in-model strategies).")
+
+let trials_arg =
+  Cmdliner.Arg.(
+    value & opt int 10 & info [ "trials" ] ~docv:"N" ~doc:"Trials to run.")
+
 let jobs_arg =
   let open Cmdliner in
   let positive_int =
@@ -476,12 +516,10 @@ let sweep_cmd =
       outcomes
   in
   let open Cmdliner in
-  let n_max = Arg.(value & opt int 12 & info [ "n-max" ] ~doc:"Largest n.") in
-  let f_max = Arg.(value & opt int 2 & info [ "f-max" ] ~doc:"Largest f.") in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Trace the 3f+1 boundary empirically.")
     Term.(
-      const run $ n_max $ f_max $ timeout_arg $ retries_arg $ jobs_arg
+      const run $ n_max_arg $ f_max_arg $ timeout_arg $ retries_arg $ jobs_arg
       $ metrics_arg $ store_arg $ resume_arg $ profile_arg)
 
 (* --- flm chaos ------------------------------------------------------------ *)
@@ -554,43 +592,15 @@ let chaos_cmd =
       outcomes
   in
   let open Cmdliner in
-  let family =
-    Arg.(
-      required
-      & opt (some family_spec_conv) None
-      & info [ "g"; "graph" ] ~docv:"FAMILY"
-          ~doc:"Target graph family, e.g. harary:3:7.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for every randomized fault decision; the same seed \
-             reproduces the same trials, whatever the jobs count.")
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv "chaos"
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:
-            "Fault strategy: drop[:P] | dup[:P] | corrupt[:P] | equivocate | \
-             replay | crash | delay[:D] | mobile[:P] | poison | stall[:MS] | \
-             chaos (weighted mix of the in-model strategies).")
-  in
-  let trials =
-    Arg.(value & opt int 10 & info [ "trials" ] ~docv:"N" ~doc:"Trials to run.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Inject seeded faults into a protocol run and report survivals, \
           violations, and supervised failures.")
     Term.(
-      const run $ family $ f_arg $ seed $ strategy $ trials $ timeout_arg
-      $ retries_arg $ jobs_arg $ metrics_arg $ store_arg $ resume_arg
-      $ profile_arg)
+      const run $ family_arg $ f_arg $ fault_seed_arg $ strategy_arg
+      $ trials_arg $ timeout_arg $ retries_arg $ jobs_arg $ metrics_arg
+      $ store_arg $ resume_arg $ profile_arg)
 
 (* --- flm store ------------------------------------------------------------ *)
 
@@ -843,12 +853,11 @@ let query_sweep_cmd =
       (Serve_proto.Request.Sweep { n_max; f_max })
   in
   let open Cmdliner in
-  let n_max = Arg.(value & opt int 8 & info [ "n-max" ] ~doc:"Largest n.") in
-  let f_max = Arg.(value & opt int 2 & info [ "f-max" ] ~doc:"Largest f.") in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Ask the daemon for a 3f+1 boundary sweep.")
     Term.(
-      const run $ socket_arg $ query_timeout_arg $ retry_args $ n_max $ f_max)
+      const run $ socket_arg $ query_timeout_arg $ retry_args $ n_max_arg
+      $ f_max_arg)
 
 let query_chaos_cmd =
   let run socket timeout_ms retry family f seed strategy trials =
@@ -856,30 +865,11 @@ let query_chaos_cmd =
       (Serve_proto.Request.Chaos { family; f; seed; strategy; trials })
   in
   let open Cmdliner in
-  let family =
-    Arg.(
-      required
-      & opt (some family_spec_conv) None
-      & info [ "g"; "graph" ] ~docv:"FAMILY"
-          ~doc:"Target graph family, e.g. harary:3:7.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed.")
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv "chaos"
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"Fault strategy.")
-  in
-  let trials =
-    Arg.(value & opt int 10 & info [ "trials" ] ~docv:"N" ~doc:"Trials to run.")
-  in
   Cmd.v
     (Cmd.info "chaos" ~doc:"Ask the daemon for seeded fault-injection trials.")
     Term.(
-      const run $ socket_arg $ query_timeout_arg $ retry_args $ family $ f_arg
-      $ seed $ strategy $ trials)
+      const run $ socket_arg $ query_timeout_arg $ retry_args $ family_arg
+      $ f_arg $ fault_seed_arg $ strategy_arg $ trials_arg)
 
 let query_store_stat_cmd =
   let run socket retry =

@@ -113,7 +113,7 @@ let allow_listed =
     ( "lib/system",
       Lint_rule.Locality_domain,
       "the flat execution core keeps per-domain scratch (Domain.DLS inbox \
-       buffers over Bigarray arenas, the boxed-path test flag) and one \
+       buffers over Bigarray arenas) and one \
        atomic run counter; these are deterministic caches owned by the \
        executor — devices never see them, and the remaining Locality rules \
        bind lib/system in full" );

@@ -3,7 +3,7 @@
    messages, stored as intern ids) and a presence bitset over the sent
    plane.  The executor writes ids; the trace accessors decode them back
    through the intern table, so readers see values structurally identical
-   to the boxed path.
+   to the ones the devices produced.
 
    Layout:
    - [states]: n × (rounds+1), index [u * (rounds+1) + r].

@@ -2,9 +2,9 @@
     planes for states and sent messages, and a presence bitset over the
     sent plane.
 
-    The executor writes intern ids; readers decode through the table, so a
-    flat trace is structurally indistinguishable from the boxed
-    representation it replaces ({!Trace} dispatches between the two).  One
+    The executor writes intern ids; readers ({!Trace}) decode through the
+    table, so they see values structurally identical to the ones the
+    devices produced.  One
     arena belongs to one execution on one domain; it is not thread-safe.
 
     The presence bitset is the port map for presence-only questions: a

@@ -5,92 +5,15 @@ let runs_started = Atomic.make 0
 
 let total_runs () = Atomic.get runs_started
 
-(* The boxed executor is the differential baseline: [with_boxed_for_testing]
-   flips a domain-local flag and the dispatcher below routes to it, so the
-   perf-smoke suite can run the same job on both representations and compare
-   certificates byte for byte.  Same save/restore idiom as
-   [Flm_error.Deadline]. *)
-let boxed_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let with_boxed_for_testing f =
-  let saved = Domain.DLS.get boxed_key in
-  Domain.DLS.set boxed_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set boxed_key saved) f
-
-let run_boxed ~signed ~delay sys ~rounds =
-  let graph = System.graph sys in
-  let n = Graph.n graph in
-  let ledger = if signed then Some (Signature.ledger_create ~nodes:n) else None in
-  let states =
-    Array.init n (fun u ->
-        let s = Array.make (rounds + 1) Value.unit in
-        s.(0) <- (System.device sys u).Device.init ~input:(System.input sys u);
-        s)
-  in
-  let sent =
-    Array.init n (fun u ->
-        Array.make_matrix rounds (Array.length (System.wiring sys u)) None)
-  in
-  (* back_port.(u).(j): the port on which wiring(u).(j) reaches back to u —
-     precomputed once on the system (wiring never changes). *)
-  let back_port = System.back_ports sys in
-  let inboxes =
-    Array.init n (fun u -> Array.make (Array.length (System.wiring sys u)) None)
-  in
-  for r = 0 to rounds - 1 do
-    (* Cooperative deadline check, once per simulated round: a run whose job
-       carries a deadline (see Flm_error.Deadline) aborts with a typed
-       timeout instead of running away.  A single domain-local read when no
-       deadline is installed. *)
-    Flm_error.Deadline.check ();
-    (* Absorb this round's deliveries into the signature ledgers first, so a
-       signature received now may be relayed now. *)
-    for u = 0 to n - 1 do
-      let wiring = System.wiring sys u in
-      let inbox = inboxes.(u) in
-      for j = 0 to Array.length wiring - 1 do
-        inbox.(j) <-
-          (if r < delay then None
-           else sent.(wiring.(j)).(r - delay).(back_port.(u).(j)))
-      done
-    done;
-    (match ledger with
-    | None -> ()
-    | Some ledger ->
-      Array.iteri
-        (fun u inbox ->
-          Array.iter
-            (function
-              | Some m -> Signature.absorb ledger ~node:u m
-              | None -> ())
-            inbox)
-        inboxes);
-    for u = 0 to n - 1 do
-      let state', sends =
-        Device.step_checked (System.device sys u) ~state:states.(u).(r)
-          ~round:r ~inbox:inboxes.(u)
-      in
-      let sends =
-        match ledger with
-        | None -> sends
-        | Some ledger ->
-          Array.map (Option.map (Signature.sanitize ledger ~node:u)) sends
-      in
-      states.(u).(r + 1) <- state';
-      sent.(u).(r) <- sends
-    done
-  done;
-  Trace.make ~system:sys ~rounds ~states ~sent
-
-(* The flat executor: same round loop, but states and sends land in a
-   per-execution arena as intern ids, and the inbox rows are per-domain
-   scratch reused across runs.  Devices still exchange ordinary values —
-   interning happens at the arena boundary, and because the intern table
-   hands back the first structurally-equal value it saw, a decoded trace is
-   byte-identical to what the boxed path records. *)
-let run_flat ~signed ~delay sys ~rounds =
-  let graph = System.graph sys in
-  let n = Graph.n graph in
+(* States and sends land in a per-execution arena as intern ids, and the
+   inbox rows are per-domain scratch reused across runs.  Devices still
+   exchange ordinary values — interning happens at the arena boundary, and
+   the intern table hands back the first structurally-equal value it saw. *)
+let run ?(signed = false) ?(delay = 1) sys ~rounds =
+  if rounds < 0 then invalid_arg "Exec.run: negative horizon";
+  if delay < 1 then invalid_arg "Exec.run: delay >= 1 required";
+  Atomic.incr runs_started;
+  let n = Graph.n (System.graph sys) in
   let ledger = if signed then Some (Signature.ledger_create ~nodes:n) else None in
   let arity u = Array.length (System.wiring sys u) in
   let arena = Arena.create ~n ~rounds ~arity in
@@ -98,10 +21,16 @@ let run_flat ~signed ~delay sys ~rounds =
     Arena.set_state arena u 0
       ((System.device sys u).Device.init ~input:(System.input sys u))
   done;
+  (* back_port.(u).(j): the port on which wiring(u).(j) reaches back to u —
+     precomputed once on the system (wiring never changes). *)
   let back_port = System.back_ports sys in
   let arities = Array.init n arity in
   Exec_scratch.with_inboxes ~arities (fun inboxes ->
       for r = 0 to rounds - 1 do
+        (* Cooperative deadline check, once per simulated round: a run whose
+           job carries a deadline (see Flm_error.Deadline) aborts with a
+           typed timeout instead of running away.  A single domain-local
+           read when no deadline is installed. *)
         Flm_error.Deadline.check ();
         for u = 0 to n - 1 do
           let wiring = System.wiring sys u in
@@ -114,6 +43,8 @@ let run_flat ~signed ~delay sys ~rounds =
                    ~round:(r - delay))
           done
         done;
+        (* Absorb this round's deliveries into the signature ledgers first,
+           so a signature received now may be relayed now. *)
         (match ledger with
         | None -> ()
         | Some ledger ->
@@ -143,13 +74,6 @@ let run_flat ~signed ~delay sys ~rounds =
         done
       done);
   Trace.of_arena ~system:sys ~rounds arena
-
-let run ?(signed = false) ?(delay = 1) sys ~rounds =
-  if rounds < 0 then invalid_arg "Exec.run: negative horizon";
-  if delay < 1 then invalid_arg "Exec.run: delay >= 1 required";
-  Atomic.incr runs_started;
-  if Domain.DLS.get boxed_key then run_boxed ~signed ~delay sys ~rounds
-  else run_flat ~signed ~delay sys ~rounds
 
 let run_until_decided ?signed ?delay sys ~max_rounds =
   if max_rounds < 1 then invalid_arg "Exec.run_until_decided: horizon >= 1";

@@ -31,11 +31,3 @@ val run_until_decided :
 (** Runs until every node has decided (per its device's [output]) or the
     horizon is reached, whichever comes first; the returned trace always has
     at least one round. *)
-
-val with_boxed_for_testing : (unit -> 'a) -> 'a
-(** Runs [f] with this domain's executions routed to the legacy boxed
-    storage path instead of the flat arena.  The two paths produce
-    observationally identical traces — this hook exists so the differential
-    suite and the benchmarks can hold the executor to that, and so the flat
-    path's cost can be measured against a faithful baseline.  Domain-local
-    and re-entrant; restores the previous setting on exit. *)

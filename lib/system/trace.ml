@@ -1,72 +1,32 @@
-(* Two storage representations, one behavior.  [Boxed] is the historical
-   per-round boxed layout, kept verbatim as the differential baseline
-   ({!Exec.with_boxed_for_testing}); [Flat] decodes out of a per-execution
-   {!Arena}.  Every accessor dispatches, and because the arena interns on
-   structural equality, the two representations are observationally
-   byte-identical — the property the certificate machinery and the store's
+(* A trace reads a filled execution {!Arena}.  Because the arena interns on
+   structural equality, decoded values are the very values the devices
+   produced — the property the certificate machinery and the store's
    byte-identity guarantees lean on.
 
-   Flat traces additionally memoize each node's (decision, decision round):
-   locating a decision replays device outputs round by round, and the
-   problem specs ask for it several times per node per check.  Boxed traces
-   deliberately keep the uncached scan so the legacy path measures (and
-   behaves) exactly as it used to. *)
-
-type repr =
-  | Boxed of {
-      states : Value.t array array;
-      sent : Value.t option array array array;
-    }
-  | Flat of Arena.t
+   Each node's (decision, decision round) is memoized: locating a decision
+   replays device outputs round by round, and the problem specs ask for it
+   several times per node per check. *)
 
 type t = {
   system : System.t;
   rounds : int;
-  repr : repr;
-  decided : (Value.t option * int option) option array;
-      (* per-node memo; [||] on boxed traces (never consulted) *)
+  arena : Arena.t;
+  decided : (Value.t option * int option) option array;  (* per-node memo *)
 }
-
-let make ~system ~rounds ~states ~sent =
-  let n = Graph.n (System.graph system) in
-  if Array.length states <> n || Array.length sent <> n then
-    invalid_arg "Trace.make: wrong node count";
-  Array.iteri
-    (fun u s ->
-      if Array.length s <> rounds + 1 then
-        invalid_arg (Printf.sprintf "Trace.make: node %d has %d states" u (Array.length s)))
-    states;
-  Array.iteri
-    (fun u s ->
-      if Array.length s <> rounds then
-        invalid_arg (Printf.sprintf "Trace.make: node %d has %d send rows" u (Array.length s)))
-    sent;
-  { system; rounds; repr = Boxed { states; sent }; decided = [||] }
 
 let of_arena ~system ~rounds arena =
   let n = Graph.n (System.graph system) in
   if Arena.n arena <> n then invalid_arg "Trace.of_arena: wrong node count";
   if Arena.rounds arena <> rounds then
     invalid_arg "Trace.of_arena: wrong horizon";
-  { system; rounds; repr = Flat arena; decided = Array.make n None }
+  { system; rounds; arena; decided = Array.make n None }
 
 let rounds t = t.rounds
 let system t = t.system
 
-let state t u r =
-  match t.repr with
-  | Boxed { states; _ } -> states.(u).(r)
-  | Flat arena -> Arena.state arena u r
-
-let raw_sent t u ~port ~round =
-  match t.repr with
-  | Boxed { sent; _ } -> sent.(u).(round).(port)
-  | Flat arena -> Arena.sent arena u ~port ~round
-
-let node_behavior t u =
-  match t.repr with
-  | Boxed { states; _ } -> Array.copy states.(u)
-  | Flat arena -> Array.init (t.rounds + 1) (fun r -> Arena.state arena u r)
+let state t u r = Arena.state t.arena u r
+let raw_sent t u ~port ~round = Arena.sent t.arena u ~port ~round
+let node_behavior t u = Array.init (t.rounds + 1) (state t u)
 
 let edge_behavior t ~src ~dst =
   let port = System.port_to t.system src dst in
@@ -95,23 +55,17 @@ let scan_decision t u =
   scan 0
 
 let decided t u =
-  if Array.length t.decided = 0 then
-    (* Legacy boxed trace: uncached scan, exactly the historical behavior. *)
-    match scan_decision t u with
-    | None -> None, None
-    | Some (v, r) -> Some v, Some r
-  else
-    match t.decided.(u) with
-    | Some memo -> memo
-    | None ->
-      let memo =
-        match scan_decision t u with
-        | None -> None, None
-        | Some (v, r) -> Some v, Some r
-      in
-      (* Idempotent write: a racing domain computes the same memo. *)
-      t.decided.(u) <- Some memo;
-      memo
+  match t.decided.(u) with
+  | Some memo -> memo
+  | None ->
+    let memo =
+      match scan_decision t u with
+      | None -> None, None
+      | Some (v, r) -> Some v, Some r
+    in
+    (* Idempotent write: a racing domain computes the same memo. *)
+    t.decided.(u) <- Some memo;
+    memo
 
 let decision t u = fst (decided t u)
 let decision_round t u = snd (decided t u)
@@ -142,28 +96,11 @@ let value_size v =
   go 0 v
 
 let fold_messages f acc t =
-  match t.repr with
-  | Boxed { sent; _ } ->
-    let acc = ref acc in
-    Array.iteri
-      (fun u rounds ->
-        Array.iter
-          (fun ports ->
-            Array.iter
-              (function Some v -> acc := f !acc u v | None -> ())
-              ports)
-          rounds)
-      sent;
-    !acc
-  | Flat arena ->
-    let acc = ref acc in
-    Arena.iter_messages (fun u v -> acc := f !acc u v) arena;
-    !acc
+  let acc = ref acc in
+  Arena.iter_messages (fun u v -> acc := f !acc u v) t.arena;
+  !acc
 
-let message_count t =
-  match t.repr with
-  | Boxed _ -> fold_messages (fun acc _ _ -> acc + 1) 0 t
-  | Flat arena -> Arena.message_count arena
+let message_count t = Arena.message_count t.arena
 
 let message_volume t = fold_messages (fun acc _ v -> acc + value_size v) 0 t
 

@@ -3,27 +3,13 @@
     A system has exactly one behavior (devices are deterministic).  A trace
     records, for every node, its state sequence (the paper's {e node
     behavior}) and, for every directed edge, the message sequence crossing it
-    (the {e edge behavior}).
-
-    Two storage representations exist behind this interface: the historical
-    boxed layout ({!make}) and the flat arena layout ({!of_arena}).  All
-    accessors answer identically on both — the differential suite holds the
-    executor to that. *)
+    (the {e edge behavior}).  It is a read-only view over the execution
+    {!Arena} the executor filled. *)
 
 type t
 
-val make :
-  system:System.t ->
-  rounds:int ->
-  states:Value.t array array ->
-  sent:Value.t option array array array ->
-  t
-(** Boxed trace over per-round value matrices; [states.(u).(r)] for [r] in
-    [0..rounds], [sent.(u).(r).(port)] for [r] in [0..rounds-1].  Used by
-    the executor's legacy path; validates dimensions. *)
-
 val of_arena : system:System.t -> rounds:int -> Arena.t -> t
-(** Flat trace over a filled execution arena; validates shape. *)
+(** The trace over a filled execution arena; validates shape. *)
 
 val rounds : t -> int
 val system : t -> System.t
@@ -42,7 +28,7 @@ val output : t -> Graph.node -> round:int -> Value.t option
 (** The node's CHOOSE output in its state after [round] steps. *)
 
 val decision : t -> Graph.node -> Value.t option
-(** First output that becomes [Some].  Memoized on flat traces. *)
+(** First output that becomes [Some].  Memoized per node. *)
 
 val decision_round : t -> Graph.node -> int option
 (** Number of steps after which the decision first appears. *)
@@ -57,8 +43,7 @@ val pp : Format.formatter -> t -> unit
 (** {1 Statistics} *)
 
 val message_count : t -> int
-(** Total messages sent (non-silent port-round slots); a bitset popcount on
-    flat traces. *)
+(** Total messages sent (non-silent port-round slots); a bitset popcount. *)
 
 val message_volume : t -> int
 (** Total size of all messages, in abstract value units: one unit per

@@ -2,8 +2,8 @@
    flat execution arena: per-round states and messages are stored as ids in
    int bigarrays instead of boxed values.  Structural equality is the
    interning key ([Value.equal]), so decoding an id yields a value
-   structurally identical to the one stored — which is what keeps flat
-   traces byte-identical to the boxed path.
+   structurally identical to the one stored — which is what keeps decoded
+   traces byte-identical to what the devices produced.
 
    Id 0 is reserved for "absent" ([intern_opt None]); real ids start at 1
    and [value] rejects 0.  The table is single-owner (one arena, one

@@ -8,8 +8,8 @@
     that grow with the round and never recur — are appended without the
     traversal.  Either way [value t (intern t v)] is the first physical
     value stored for [v]'s id and is structurally identical to [v] — the
-    property that keeps flat traces byte-identical to the boxed execution
-    path.
+    property that keeps a decoded trace byte-identical to what the devices
+    produced.
 
     Id [0] is reserved to mean "absent" (a silent port-round slot); real
     ids are dense from 1.  A table belongs to one execution on one domain
