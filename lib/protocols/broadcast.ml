@@ -1,125 +1,19 @@
 (* Rooted EIG: identical relay discipline to consensus EIG, except that only
-   the general speaks at step 0, only labels rooted at the general are
-   accepted, and the decision resolves the subtree under [general] instead
-   of the whole tree. *)
+   the general speaks at step 0 (and decides its own value at once), only
+   labels rooted at the general are accepted, and the decision resolves the
+   subtree under [general] instead of the whole tree. *)
 
 let decision_round ~f = f + 2
 
 let device ~n ~f ~me ~general ~default =
   if n < 2 || f < 0 || me < 0 || me >= n then invalid_arg "Broadcast.device";
   if general < 0 || general >= n then invalid_arg "Broadcast.device: general";
-  let others = List.filter (fun j -> j <> me) (List.init n Fun.id) in
-  let id_of_port = Array.of_list others in
-  let arity = n - 1 in
-  let parsed = ref None in
-  let pack step decided tree =
-    let state =
-      Value.triple (Value.int step)
-        (match decided with None -> Value.unit | Some v -> Value.tag "d" v)
-        (Eig_tree.to_value tree)
-    in
-    (* One-slot parse cache, keyed on physical equality (see Eig): the
-       executor hands back the packed value unchanged, so steady-state
-       rounds skip [Eig_tree.of_value]. *)
-    parsed := Some (state, tree);
-    state
-  in
-  let unpack state =
-    let step, decided, tree_v = Value.get_triple state in
-    let tree =
-      match !parsed with
-      | Some (key, tree) when key == state -> tree
-      | Some _ | None -> Eig_tree.of_value tree_v
-    in
-    ( Value.get_int step,
-      (if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None),
-      tree )
-  in
-  (* A label is admissible when it is rooted at the general: the empty label
-     only from the general's own mouth. *)
-  let rooted label j =
-    match label with [] -> j = general | head :: _ -> head = general
-  in
-  {
-    Device.name = Printf.sprintf "BG[%d/%d,g=%d]@%d" n f general me;
-    arity;
-    init =
-      (fun ~input ->
-        if me = general then
-          pack 0 (Some input) (Eig_tree.add Eig_tree.empty [] input)
-        else pack 0 None Eig_tree.empty);
-    step =
-      (fun ~state ~round:_ ~inbox ->
-        let step, decided, tree = unpack state in
-        let tree =
-          if step = 0 || step > f + 1 then tree
-          else begin
-            let level = step - 1 in
-            Array.to_list inbox
-            |> List.mapi (fun port m -> id_of_port.(port), m)
-            |> List.fold_left
-                 (fun tree (j, m) ->
-                   match m with
-                   | None -> tree
-                   | Some m -> (
-                     match Value.get_list m with
-                     | exception Value.Type_error _ -> tree
-                     | pairs ->
-                       List.fold_left
-                         (fun tree p ->
-                           match Value.get_pair p with
-                           | exception Value.Type_error _ -> tree
-                           | key, v -> (
-                             match Value.get_int_list key with
-                             | exception Value.Type_error _ -> tree
-                             | label ->
-                               if
-                                 Eig_tree.valid_label ~n ~level label
-                                 && not (List.mem j label)
-                                 && rooted label j
-                               then Eig_tree.add tree (label @ [ j ]) v
-                               else tree))
-                         tree pairs))
-                 tree
-          end
-        in
-        let tree =
-          if step = 0 || step > f + 1 then tree
-          else
-            List.fold_left
-              (fun acc (label, v) ->
-                if not (List.mem me label) then
-                  Eig_tree.add acc (label @ [ me ]) v
-                else acc)
-              tree
-              (Eig_tree.level tree (step - 1))
-        in
-        let decided =
-          if step = f + 1 && decided = None then
-            Some (Eig_tree.resolve ~n ~f ~default tree [ general ])
-          else decided
-        in
-        let sends =
-          if step > f || (step = 0 && me <> general) then
-            Array.make arity None
-          else begin
-            let payload =
-              Eig_tree.level tree step
-              |> List.filter (fun (label, _) -> not (List.mem me label))
-              |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-              |> List.map (fun (label, v) ->
-                     Value.pair (Eig_tree.label_key label) v)
-            in
-            Array.make arity (Some (Value.list payload))
-          end
-        in
-        pack (step + 1) decided tree, sends);
-    output =
-      (fun state ->
-        let _, decided, _ = Value.get_triple state in
-        if Value.is_tag "d" decided then Some (Value.untag "d" decided)
-        else None);
-  }
+  Eig_tree.relay_device
+    ~name:(Printf.sprintf "BG[%d/%d,g=%d]@%d" n f general me)
+    ~n ~f ~me ~default
+    ~init:(fun input ->
+      if me = general then Some input, Some input else None, None)
+    ~root:[ general ]
 
 let system g ~f ~general ~value ~default =
   let n = Graph.n g in

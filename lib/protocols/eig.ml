@@ -1,123 +1,16 @@
-(* The EIG tree lives in the device state as a Value assoc (see Eig_tree).
-   The state a device receives each round is physically the value it packed
-   the round before (the executor stores it as-is; the flat arena interns it
-   and hands back the first structurally-equal value), so each device keeps a
-   one-slot parse cache keyed on physical equality — in steady state a round
-   never re-parses the tree out of its Value encoding.  The cache changes no
-   observable behavior: on any miss it falls back to a full parse. *)
+(* The relay, its tree and its state encoding live in [Eig_tree]; consensus
+   EIG seeds every node's own input at the empty label, admits every
+   well-formed claim, and resolves the whole tree. *)
 
 let decision_round ~f = f + 2
 
 let device ~n ~f ~me ~default =
   if n < 2 || f < 0 || me < 0 || me >= n then invalid_arg "Eig.device";
-  let others = List.filter (fun j -> j <> me) (List.init n Fun.id) in
-  let id_of_port = Array.of_list others in
-  let arity = n - 1 in
-  (* State: (step, decided option, tree). *)
-  let parsed = ref None in
-  let pack step decided tree =
-    let state =
-      Value.triple (Value.int step)
-        (match decided with None -> Value.unit | Some v -> Value.tag "d" v)
-        (Eig_tree.to_value tree)
-    in
-    parsed := Some (state, tree);
-    state
-  in
-  let unpack state =
-    let step, decided, tree_v = Value.get_triple state in
-    let tree =
-      match !parsed with
-      | Some (key, tree) when key == state -> tree
-      | Some _ | None -> Eig_tree.of_value tree_v
-    in
-    ( Value.get_int step,
-      (if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None),
-      tree )
-  in
-  {
-    Device.name = Printf.sprintf "EIG[%d/%d]@%d" n f me;
-    arity;
-    init = (fun ~input -> pack 0 None (Eig_tree.add Eig_tree.empty [] input));
-    step =
-      (fun ~state ~round:_ ~inbox ->
-        let step, decided, tree = unpack state in
-        (* 1. Absorb deliveries: messages sent at step-1 carry labels of
-           level step-1; a pair (sigma, v) from node j yields
-           val(sigma . j) = v. *)
-        let tree =
-          if step = 0 || step > f + 1 then tree
-          else begin
-            let level = step - 1 in
-            Array.to_list inbox
-            |> List.mapi (fun port m -> id_of_port.(port), m)
-            |> List.fold_left
-                 (fun tree (j, m) ->
-                   match m with
-                   | None -> tree
-                   | Some m -> (
-                     match Value.get_list m with
-                     | exception Value.Type_error _ -> tree
-                     | pairs ->
-                       List.fold_left
-                         (fun tree p ->
-                           match Value.get_pair p with
-                           | exception Value.Type_error _ -> tree
-                           | key, v -> (
-                             match Value.get_int_list key with
-                             | exception Value.Type_error _ -> tree
-                             | label ->
-                               if
-                                 Eig_tree.valid_label ~n ~level label
-                                 && not (List.mem j label)
-                               then Eig_tree.add tree (label @ [ j ]) v
-                               else tree))
-                         tree pairs))
-                 tree
-          end
-        in
-        (* 2. Self-relay: my own broadcast of level step-1 labels reaches my
-           tree directly. *)
-        let tree =
-          if step = 0 || step > f + 1 then tree
-          else
-            List.fold_left
-              (fun acc (label, v) ->
-                if not (List.mem me label) then
-                  Eig_tree.add acc (label @ [ me ]) v
-                else acc)
-              tree
-              (Eig_tree.level tree (step - 1))
-        in
-        (* 3. Decide at step f+1 (after absorbing the last deliveries). *)
-        let decided =
-          if step = f + 1 && decided = None then
-            Some (Eig_tree.resolve ~n ~f ~default tree [])
-          else decided
-        in
-        (* 4. Broadcast all level-step labels not containing me. *)
-        let sends =
-          if step > f then Array.make arity None
-          else begin
-            let payload =
-              Eig_tree.level tree step
-              |> List.filter (fun (label, _) -> not (List.mem me label))
-              |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-              |> List.map (fun (label, v) ->
-                     Value.pair (Eig_tree.label_key label) v)
-            in
-            Array.make arity (Some (Value.list payload))
-          end
-        in
-        pack (step + 1) decided tree, sends);
-    output =
-      (fun state ->
-        (* Decision queries must not pay for a tree parse: the trace layer
-           scans outputs round by round when locating decisions. *)
-        let _, decided, _ = Value.get_triple state in
-        if Value.is_tag "d" decided then Some (Value.untag "d" decided)
-        else None);
-  }
+  Eig_tree.relay_device
+    ~name:(Printf.sprintf "EIG[%d/%d]@%d" n f me)
+    ~n ~f ~me ~default
+    ~init:(fun input -> None, Some input)
+    ~root:[]
 
 let system g ~f ~inputs ~default =
   let n = Graph.n g in

@@ -10,7 +10,11 @@
      were produced by the legacy boxed executor at commit d7caaca, the last
      commit that had it, and the flat arena executor matched every one of
      them there; so this gate holds the flat executor to the boxed path's
-     behaviour without keeping a second implementation alive.
+     behaviour without keeping a second implementation alive.  The last
+     four cases (EIG under split-brain and babbler at K12, rooted
+     broadcast, interactive consistency) came later, from commit 762e0ea
+     before the dense EIG tree replaced the label-keyed map; they have no
+     boxed answer.
    - allocation budget: the executor must not allocate meaningfully more
      than the boxed path did, and a fixed workload must stay under an
      absolute per-run byte ceiling.
@@ -60,10 +64,30 @@ let dump t =
           (Array.to_list (Array.map string_of_int (Trace.messages_by_node t)))));
   Buffer.contents buf
 
+let bool_default = Value.bool false
+let alt_inputs n = Array.init n (fun i -> Value.bool (i mod 2 = 0))
+
 let eig_sys n f =
-  Eig.system (Topology.complete n) ~f
-    ~inputs:(Array.init n (fun i -> Value.bool (i mod 2 = 0)))
-    ~default:(Value.bool false)
+  Eig.system (Topology.complete n) ~f ~inputs:(alt_inputs n)
+    ~default:bool_default
+
+(* EIG on K_n with [adversary u] substituted at each faulty node [u] — the
+   sweep zoo's split-brain and babbler exercise malformed, duplicated and
+   equivocating relays, and split-brain steps one honest device over
+   alternating sub-states. *)
+let eig_attacked n f ~faulty adversary =
+  List.fold_left
+    (fun sys u -> System.substitute sys u (adversary u))
+    (eig_sys n f) faulty
+
+let split_brain n f u =
+  Adversary.split_brain
+    (Eig.device ~n ~f ~me:u ~default:bool_default)
+    ~inputs:(Array.init (n - 1) (fun j -> Value.bool (j mod 2 = 0)))
+
+let babbler n u =
+  Adversary.babbler ~seed:(31 * u) ~arity:(n - 1)
+    ~palette:[ Value.bool true; Value.bool false; Value.int 3 ]
 
 (* Flood-vote on a ring merges whatever each round delivers, so unlike EIG
    (which drops claims of the wrong tree level) its trace moves with the
@@ -155,6 +179,29 @@ let golden =
       "3892ae0d6fa9c805769b5dd09c6fac9d", journal_bytes );
     ( "signed Dolev-Strong K3 f=1 certificate",
       "eed6d14298c5b7b3e5784f36b199acfd", signed_certificate_bytes );
+    (* The four cases below were computed at commit 762e0ea, before the
+       dense EIG tree replaced the label-keyed map; that commit has no
+       boxed executor, so they have no boxed answer. *)
+    ( "trace eig K12 f=2 split-brain at {0,1}",
+      "dcefbc71a6eb1c281c58396965287a94",
+      trace_bytes
+        (eig_attacked 12 2 ~faulty:[ 0; 1 ] (split_brain 12 2))
+        ~rounds:(Eig.decision_round ~f:2 + 1) );
+    ( "trace eig K12 f=2 babbler at {10,11}",
+      "fd5e627c21fc65e0b06d101c8818a1ff",
+      trace_bytes
+        (eig_attacked 12 2 ~faulty:[ 10; 11 ] (babbler 12))
+        ~rounds:(Eig.decision_round ~f:2 + 1) );
+    ( "trace broadcast K7 f=2 general 0", "c164e0ec25970d28c1dd1b65aa62045a",
+      trace_bytes
+        (Broadcast.system (Topology.complete 7) ~f:2 ~general:0
+           ~value:(Value.bool true) ~default:bool_default)
+        ~rounds:(Broadcast.decision_round ~f:2 + 1) );
+    ( "trace interactive K4 f=1", "3b2014bb2afeb7e159f975d9dcf16246",
+      trace_bytes
+        (Interactive.system (Topology.complete 4) ~f:1 ~inputs:(alt_inputs 4)
+           ~default:bool_default)
+        ~rounds:(Interactive.decision_round ~f:1 + 1) );
   ]
 
 (* --- the allocation budget ---------------------------------------------------- *)

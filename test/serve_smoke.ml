@@ -236,7 +236,7 @@ let () =
   (* (d) Coalescing: four clients fire the same fresh ~0.4 s certify at
      once; the engine computes it once and the rest join the flight.  While
      those four sessions are busy, a fifth connection must be refused. *)
-  let slow = Job.Certify { problem = Job.Ba; n = 7; f = 3 } in
+  let slow = Job.Certify { problem = Job.Ba; n = 8; f = 4 } in
   let barrier = Atomic.make 0 in
   let clients =
     List.init 4 (fun _ ->
@@ -249,7 +249,7 @@ let () =
             let r =
               daemon_json c
                 (Serve_proto.Request.Certify
-                   { problem = Job.Ba; n = 7; f = 3 })
+                   { problem = Job.Ba; n = 8; f = 4 })
             in
             Serve_client.close c;
             r))

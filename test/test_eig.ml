@@ -193,6 +193,182 @@ let prop_boundary =
       && agreement_holds t correct
       && validity_holds t ~inputs:(fun u -> vbool inputs.(u)) correct)
 
+(* --- Eig_tree against a list-based reference ------------------------------ *)
+
+(* The reference keeps entries as an assoc list in insertion order, first
+   write wins, and resolves by the textbook recursion over label lists. *)
+let ref_add entries (label, v) =
+  if List.mem_assoc label entries then entries else entries @ [ label, v ]
+
+let label_order (a, _) (b, _) = List.compare Int.compare a b
+
+let ref_majority ~default votes =
+  let distinct = List.sort_uniq Value.compare votes in
+  let count v = List.length (List.filter (Value.equal v) votes) in
+  match List.find_opt (fun v -> count v > List.length votes / 2) distinct with
+  | Some v -> v
+  | None -> default
+
+let rec ref_resolve ~n ~f ~default find label =
+  if List.length label > f then Option.value (find label) ~default
+  else
+    List.init n Fun.id
+    |> List.filter (fun j -> not (List.mem j label))
+    |> List.map (fun j -> ref_resolve ~n ~f ~default find (label @ [ j ]))
+    |> ref_majority ~default
+
+(* A random valid label set: n <= 8, labels of length <= 3, values from a
+   three-value palette so majorities are contested.  Dense cases keep most
+   labels of a full tree; sparse ones draw a few labels, duplicates
+   included (the same label claimed twice with different values). *)
+let tree_case_gen =
+  let open QCheck.Gen in
+  let palette = [ Value.bool true; Value.bool false; Value.int 3 ] in
+  int_range 1 8 >>= fun n ->
+  int_range 0 (min 3 n) >>= fun depth ->
+  let label =
+    shuffle_l (List.init n Fun.id) >>= fun perm ->
+    int_range 0 depth >|= fun len -> List.filteri (fun i _ -> i < len) perm
+  in
+  let entry = pair label (oneofl palette) in
+  let rec all_labels len =
+    if len = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun l ->
+          List.filter_map
+            (fun j -> if List.mem j l then None else Some (l @ [ j ]))
+            (List.init n Fun.id))
+        (all_labels (len - 1))
+  in
+  let dense =
+    flatten_l
+      (List.concat_map
+         (fun len ->
+           List.map
+             (fun l ->
+               pair (int_bound 9) (oneofl palette) >|= fun (keep, v) ->
+               if keep = 0 then None else Some (l, v))
+             (all_labels len))
+         (List.init (depth + 1) Fun.id))
+    >|= List.filter_map Fun.id
+  in
+  let sparse = list_size (int_bound 40) entry in
+  oneof [ dense; sparse ] >>= fun claims ->
+  (* Re-claim a few labels with other values: first write must win. *)
+  list_size (int_bound 5) entry >|= fun extra ->
+  n, depth, claims @ extra @ claims
+
+let print_case (n, depth, claims) =
+  Printf.sprintf "n=%d depth=%d claims=[%s]" n depth
+    (String.concat "; "
+       (List.map
+          (fun (l, v) ->
+            Printf.sprintf "%s:%s"
+              (String.concat "." (List.map string_of_int l))
+              (Value.to_string v))
+          claims))
+
+let tree_case = QCheck.make ~print:print_case tree_case_gen
+
+let build n claims =
+  List.fold_left (fun t (l, v) -> Eig_tree.add t l v) (Eig_tree.empty ~n) claims
+
+let reference claims = List.fold_left ref_add [] claims
+
+let encoded entries =
+  Value.of_assoc
+    (List.map
+       (fun (l, v) -> Eig_tree.label_key l, v)
+       (List.stable_sort label_order entries))
+
+let prop_tree_encoding =
+  QCheck.Test.make ~name:"Eig_tree.to_value: sorted, first write wins"
+    ~count:200 tree_case (fun (n, _, claims) ->
+      Value.equal (Eig_tree.to_value (build n claims)) (encoded (reference claims)))
+
+let prop_tree_round_trip =
+  QCheck.Test.make ~name:"Eig_tree.of_value round-trips" ~count:200 tree_case
+    (fun (n, _, claims) ->
+      let v = Eig_tree.to_value (build n claims) in
+      (* An unsorted encoding with duplicate labels parses first-wins, as
+         assoc lookup did. *)
+      let raw =
+        Value.of_assoc (List.map (fun (l, v) -> Eig_tree.label_key l, v) claims)
+      in
+      Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n v)) v
+      && Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n raw)) v)
+
+let prop_tree_queries =
+  QCheck.Test.make ~name:"Eig_tree find/level/resolve match the reference"
+    ~count:200 tree_case (fun (n, depth, claims) ->
+      let t = build n claims and entries = reference claims in
+      let default = Value.bool false in
+      let table = Hashtbl.create 64 in
+      List.iter (fun (l, v) -> Hashtbl.replace table l v) entries;
+      List.for_all
+        (fun (l, _) -> Eig_tree.find t l = List.assoc_opt l entries)
+        (claims @ [ [], Value.unit ])
+      && List.for_all
+           (fun len ->
+             Eig_tree.level t len
+             = List.stable_sort label_order
+                 (List.filter (fun (l, _) -> List.length l = len) entries))
+           (List.init (depth + 2) Fun.id)
+      && List.for_all
+           (fun f ->
+             List.for_all
+               (fun (root, _) ->
+                 Value.equal
+                   (Eig_tree.resolve ~f ~default t root)
+                   (ref_resolve ~n ~f ~default (Hashtbl.find_opt table) root))
+               (([], Value.unit) :: List.filteri (fun i _ -> i < 4) claims))
+           (List.init (depth + 1) Fun.id))
+
+let prop_majority =
+  let votes =
+    QCheck.make
+      ~print:(fun vs -> String.concat "," (List.map Value.to_string vs))
+      QCheck.Gen.(
+        list_size (int_bound 9)
+          (oneofl [ Value.bool true; Value.bool false; Value.int 3 ]))
+  in
+  QCheck.Test.make ~name:"Eig_tree.majority matches the reference" ~count:300
+    votes (fun vs ->
+      let default = Value.unit in
+      Value.equal (Eig_tree.majority ~default vs) (ref_majority ~default vs))
+
+let prop_tree_rejects =
+  let bad =
+    QCheck.make
+      ~print:(fun (n, l) ->
+        Printf.sprintf "n=%d label=%s" n
+          (String.concat "." (List.map string_of_int l)))
+      QCheck.Gen.(
+        int_range 1 8 >>= fun n ->
+        oneof
+          [ (* one id out of range *)
+            (pair (int_range 0 (n - 1)) (oneofl [ -1; n; n + 3 ])
+            >|= fun (a, b) -> if a mod 2 = 0 then [ a; b ] else [ b ]);
+            (* a repeated id *)
+            (int_range 0 (n - 1) >|= fun a -> [ a; a ]);
+            (int_range 0 (n - 1) >|= fun a -> [ a; (a + 1) mod (n + 1); a ]);
+          ]
+        >|= fun l -> n, l)
+  in
+  QCheck.Test.make ~name:"Eig_tree rejects out-of-range and repeated ids"
+    ~count:200 bad (fun (n, l) ->
+      let raises f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let key = Eig_tree.label_key l in
+      raises (fun () -> Eig_tree.add (Eig_tree.empty ~n) l Value.unit)
+      && raises (fun () -> Eig_tree.find (Eig_tree.empty ~n) l)
+      && raises (fun () ->
+             Eig_tree.of_value ~n (Value.of_assoc [ key, Value.unit ])))
+
 let suite =
   ( "eig",
     [ Alcotest.test_case "fault-free" `Quick fault_free;
@@ -200,4 +376,9 @@ let suite =
       Alcotest.test_case "broken below 3f+1" `Quick below_boundary_is_breakable;
       Alcotest.test_case "decision round exact" `Quick decision_round_exact;
       QCheck_alcotest.to_alcotest prop_boundary;
+      QCheck_alcotest.to_alcotest prop_tree_encoding;
+      QCheck_alcotest.to_alcotest prop_tree_round_trip;
+      QCheck_alcotest.to_alcotest prop_tree_queries;
+      QCheck_alcotest.to_alcotest prop_majority;
+      QCheck_alcotest.to_alcotest prop_tree_rejects;
     ] )
