@@ -5,7 +5,9 @@
    p (n-r) ... p (n-r) + (n-r-1), in increasing id order.  A slot holds the
    entry's encoding [Pair (label_key label, v)] ready-built, or [Unit] when
    absent: encoding a tree conses existing pairs, and a relayed level is
-   sent as the very pairs the tree holds.
+   sent as the very pairs the tree holds.  Keys, and the entries of boolean
+   values, come from shared per-level tables (below), so filling a slot
+   usually allocates nothing.
 
    Trees are persistent.  An update writes one private copy of the level it
    fills and shares every other level; a level array, once in a returned
@@ -28,18 +30,88 @@ let rec below x ids i =
     | _ -> -1
 
 (* Rank within level [r] of the label [ids] lists; -1 unless it is a
-   level-[r] label of distinct in-range ids. *)
-let rank ~n ~r ids =
-  let rec go p i = function
-    | [] -> if i = r then p else -1
-    | Value.Int x :: rest when i < r && x >= 0 && x < n ->
-      let b = below x ids i in
-      if b < 0 then -1 else go ((p * (n - i)) + x - b) (i + 1) rest
-    | _ -> -1
-  in
-  go 0 0 ids
+   level-[r] label of distinct in-range ids.  [rest] is the suffix of [ids]
+   from its [i]-th element on, [p] the rank of the first [i]. *)
+let rec rank_from ~n ~r ids p i rest =
+  match rest with
+  | [] -> if i = r then p else -1
+  | Value.Int x :: rest when i < r && x >= 0 && x < n ->
+    let b = below x ids i in
+    if b < 0 then -1 else rank_from ~n ~r ids ((p * (n - i)) + x - b) (i + 1) rest
+  | _ -> -1
+
+let rank ~n ~r ids = rank_from ~n ~r ids 0 0 ids
+
+(* The [d]-th id (counting from 0), at or after [id], that is not in [used]. *)
+let rec nth_free used d id =
+  if List.mem id used then nth_free used d (id + 1)
+  else if d = 0 then id
+  else nth_free used (d - 1) (id + 1)
+
+(* The label at slot [c] of level [r]: the inverse of [rank]. *)
+let rec unrank ~n ~r c =
+  if r = 0 then []
+  else
+    let parent = unrank ~n ~r:(r - 1) (c / (n - r + 1)) in
+    parent @ [ nth_free parent (c mod (n - r + 1)) 0 ]
 
 let label_key label = Value.int_list label
+
+(* --- shared label encodings ------------------------------------------------- *)
+
+(* A slot's key is a function of (n, level, rank) alone, so one table per
+   (n, level) holds every key and the two boolean entries ready-built, and
+   every tree, device and run shares them instead of consing its own. *)
+type labels = { keys : Value.t array; yes : Value.t array; no : Value.t array }
+
+let build_labels ~n ~r =
+  let keys = Array.init (level_size ~n r) (fun c -> label_key (unrank ~n ~r c)) in
+  let with_value v = Array.map (fun k -> Value.Pair (k, v)) keys in
+  { keys; yes = with_value (Value.Bool true); no = with_value (Value.Bool false) }
+
+(* The encoding of [v] at slot [c]: only a non-boolean value allocates. *)
+let entry labels c v =
+  match v with
+  | Value.Bool true -> labels.yes.(c)
+  | Value.Bool false -> labels.no.(c)
+  | v -> Value.Pair (labels.keys.(c), v)
+
+(* Store [v] at slot [c] unless the slot is taken: first write wins. *)
+let put labels slots c v =
+  if slots.(c) == Value.Unit then slots.(c) <- entry labels c v
+
+(* Tables are memoized per domain, built on first use.  Past the slot
+   budget the memo is dropped and refilled; every table is a pure function
+   of (n, level), so a rebuilt one is indistinguishable from the old. *)
+type memo = { mutable tables : (int * int * labels) list; mutable slots : int }
+
+let slot_budget = 1 lsl 15
+
+let new_memo () = { tables = []; slots = 0 }
+
+let domain_memo =
+  (* flm-lint: allow locality/domain — the memo holds only tables of
+     immutable values that are pure functions of (n, level); which domain
+     built one cannot change any device's behaviour. *)
+  let key = Domain.DLS.new_key new_memo in fun () -> Domain.DLS.get key
+
+(* The first table in [tables] for (n, r), or a new one, remembered. *)
+let rec lookup memo ~n ~r = function
+  | (n', r', labels) :: rest -> if n' = n && r' = r then labels else lookup memo ~n ~r rest
+  | [] ->
+    let labels = build_labels ~n ~r in
+    let size = Array.length labels.keys in
+    if memo.slots + size > slot_budget then begin
+      memo.tables <- [];
+      memo.slots <- 0
+    end;
+    memo.tables <- (n, r, labels) :: memo.tables;
+    memo.slots <- memo.slots + size;
+    labels
+
+let labels ~n ~r =
+  let memo = domain_memo () in
+  lookup memo ~n ~r memo.tables
 
 let checked_rank ~what ~n label =
   let p = rank ~n ~r:(List.length label) (Value.get_list (label_key label)) in
@@ -80,7 +152,7 @@ let add t label v =
   if get t r p != Value.Unit then t
   else begin
     let slots = fresh_level t r in
-    slots.(p) <- Value.pair (label_key label) v;
+    slots.(p) <- entry (labels ~n:t.n ~r) p v;
     with_level t r slots
   end
 
@@ -124,26 +196,45 @@ let level t r =
         | _ -> acc)
       t.levels.(r) []
 
-(* Boyer–Moore: only a strict-majority value can survive as the candidate,
-   and one counting pass confirms it. *)
-let majority ~default votes =
-  let vote (c, lead) v =
-    if lead = 0 then v, 1 else if Value.equal c v then c, lead + 1 else c, lead - 1
-  in
-  let candidate, _ = List.fold_left vote (default, 0) votes in
-  let count = List.fold_left (fun k v -> if Value.equal candidate v then k + 1 else k) 0 votes in
-  if 2 * count > List.length votes then candidate else default
+(* Boyer–Moore over [votes.(0 .. k-1)]: only a strict-majority value can
+   survive as the candidate, and one counting pass confirms it. *)
+let majority_in ~default votes k =
+  let candidate = ref default and lead = ref 0 in
+  for i = 0 to k - 1 do
+    let v = votes.(i) in
+    if !lead = 0 then begin
+      candidate := v;
+      lead := 1
+    end
+    else if Value.equal !candidate v then incr lead
+    else decr lead
+  done;
+  let count = ref 0 in
+  for i = 0 to k - 1 do
+    if Value.equal !candidate votes.(i) then incr count
+  done;
+  if 2 * !count > k then !candidate else default
 
+let majority ~default votes =
+  let votes = Array.of_list votes in
+  majority_in ~default votes (Array.length votes)
+
+(* Depth [r] resolves its n-r children into [scratch.(r)]; a child only
+   writes deeper rows, so one row per depth serves the whole recursion. *)
 let resolve ~f ~default t root =
+  let n = t.n in
+  let scratch = Array.init (f + 1) (fun r -> Array.make (max 0 (n - r)) Value.Unit) in
   let rec go r p =
     if r > f then match get t r p with Value.Pair (_, v) -> v | _ -> default
-    else votes r p (t.n - r - 1) []
-  (* [acc] holds the resolved children after [d] of slot [p]. *)
-  and votes r p d acc =
-    if d < 0 then majority ~default acc
-    else votes r p (d - 1) (go (r + 1) ((p * (t.n - r)) + d) :: acc)
+    else begin
+      let votes = scratch.(r) and k = n - r in
+      for d = 0 to k - 1 do
+        votes.(d) <- go (r + 1) ((p * k) + d)
+      done;
+      majority_in ~default votes k
+    end
   in
-  go (List.length root) (checked_rank ~what:"Eig_tree.resolve" ~n:t.n root)
+  go (List.length root) (checked_rank ~what:"Eig_tree.resolve" ~n root)
 
 (* --- the relay device ------------------------------------------------------- *)
 
@@ -155,54 +246,67 @@ let rec under root ids j =
   | [ g ], [] -> g = j
   | _ -> false
 
+(* Claims from sender [j] on level-[r] labels, written into [slots] (level
+   r+1). *)
+let rec absorb ~n ~r ~root ~labels slots j = function
+  | Value.Pair (Value.List ids, v) :: claims ->
+    let p = rank ~n ~r ids and b = below j ids r in
+    if p >= 0 && b >= 0 && under root ids j then
+      put labels slots ((p * (n - r)) + j - b) v;
+    absorb ~n ~r ~root ~labels slots j claims
+  | _ :: claims -> absorb ~n ~r ~root ~labels slots j claims
+  | [] -> ()
+
 (* Step [s] (1 <= s <= f+1): a claim (sigma, v) from sender j on a
    well-formed level-(s-1) label without j becomes val(sigma . j) = v, then
    my own level-(s-1) entries are relayed to myself as sigma . me.  All of
    it lands in one fresh copy of level s; first write wins. *)
 let relay_round t ~me ~step:s ~root ~senders inbox =
   let n = t.n and r = s - 1 in
+  let labels = labels ~n ~r:s in
   let slots = fresh_level t s in
-  (* [last] is [Int j], shared by every key this round that ends in j. *)
-  let put c ids last v =
-    if slots.(c) == Value.Unit then
-      slots.(c) <- Value.Pair (Value.List (ids @ last), v)
-  in
-  Array.iteri
-    (fun port m ->
-      match m with
-      | Some (Value.List claims) ->
-        let j = senders.(port) in
-        let last = [ Value.Int j ] in
-        List.iter
-          (function
-            | Value.Pair (Value.List ids, v) ->
-              let p = rank ~n ~r ids and b = below j ids r in
-              if p >= 0 && b >= 0 && under root ids j then
-                put ((p * (n - r)) + j - b) ids last v
-            | _ -> ())
-          claims
-      | _ -> ())
-    inbox;
-  let last = [ Value.Int me ] in
-  Array.iteri
-    (fun p entry ->
-      match entry with
+  for port = 0 to Array.length inbox - 1 do
+    match inbox.(port) with
+    | Some (Value.List claims) -> absorb ~n ~r ~root ~labels slots senders.(port) claims
+    | _ -> ()
+  done;
+  if r < Array.length t.levels then begin
+    let own = t.levels.(r) in
+    for p = 0 to Array.length own - 1 do
+      match own.(p) with
       | Value.Pair (Value.List ids, v) ->
         let b = below me ids r in
-        if b >= 0 then put ((p * (n - r)) + me - b) ids last v
-      | _ -> ())
-    (if r < Array.length t.levels then t.levels.(r) else [||]);
+        if b >= 0 then put labels slots ((p * (n - r)) + me - b) v
+      | _ -> ()
+    done
+  end;
   with_level t s slots
+
+(* The entries of [level] from slot [i] down whose label avoids [me],
+   consed onto [acc] in label order. *)
+let rec avoiding ~me ~r level i acc =
+  if i < 0 then acc
+  else
+    let acc =
+      match level.(i) with
+      | Value.Pair (Value.List ids, _) as e when below me ids r >= 0 -> e :: acc
+      | _ -> acc
+    in
+    avoiding ~me ~r level (i - 1) acc
 
 let relay_device ~name ~n ~f ~me ~default ~init ~root =
   let senders = Array.of_list (List.filter (( <> ) me) (List.init n Fun.id)) in
   let arity = n - 1 in
-  (* Two-slot parse cache keyed on physical equality: the state a device
-     receives is physically the one it packed (the executor stores it
-     as-is; the arena interns it and hands back the first equal value), and
+  (* Two-slot parse cache keyed on physical equality.  It hits when the
+     state a device receives is physically one it just packed: the arena
+     hands back the first value it stored under the state's intern id, and
      [Adversary.split_brain] steps one device over two alternating
-     sub-states.  A miss (a third sub-state, a foreign state) re-parses, so
-     the cache changes no observable behaviour. *)
+     sub-states.  That holds for large states only.  The arena dedups small
+     values structurally, so a state whose tree has fewer than ~20 entries
+     can come back as another node's equal state, and misses; on a cold
+     n<=12 f<=2 sweep about half of all steps miss that way.  A miss (that,
+     a third sub-state, a foreign state) re-parses, so the cache changes no
+     observable behaviour. *)
   let recent = ref None and older = ref None in
   let tree_of state tree_v =
     match !recent, !older with
@@ -245,9 +349,8 @@ let relay_device ~name ~n ~f ~me ~default ~init ~root =
         let payload =
           if step > f || step >= Array.length tree'.levels then []
           else
-            List.filter
-              (function Value.Pair (Value.List ids, _) -> below me ids step >= 0 | _ -> false)
-              (Array.to_list tree'.levels.(step))
+            let level = tree'.levels.(step) in
+            avoiding ~me ~r:step level (Array.length level - 1) []
         in
         let sends =
           if step > f || (step = 0 && payload = []) then Array.make arity None

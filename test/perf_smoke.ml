@@ -17,7 +17,10 @@
      boxed answer.
    - allocation budget: the executor must not allocate meaningfully more
      than the boxed path did, and a fixed workload must stay under an
-     absolute per-run byte ceiling.
+     absolute per-run byte ceiling.  A warm eig K12 f=2 run has its own
+     minor-word ceiling, which guards the EIG relay's shared label tables.
+   - cross-domain determinism: two fresh domains run two of the golden
+     cases concurrently, and each must reproduce the committed digests.
 
    Deterministic: fixed systems, fixed seeds, and the executor itself is
    deterministic, so the digests are stable from one process to the next.
@@ -143,6 +146,22 @@ let signed_certificate_bytes () =
        ~horizon:(Dolev_strong.decision_round ~f:1 + 1)
        ~f:1 (Topology.complete 3))
 
+(* Two golden cases as constructors, so the cross-domain check below can
+   build its own systems (devices carry a parse cache) in each domain. *)
+let k12_split_brain () =
+  ( "trace eig K12 f=2 split-brain at {0,1}",
+    "dcefbc71a6eb1c281c58396965287a94",
+    trace_bytes
+      (eig_attacked 12 2 ~faulty:[ 0; 1 ] (split_brain 12 2))
+      ~rounds:(Eig.decision_round ~f:2 + 1) )
+
+let k7_broadcast () =
+  ( "trace broadcast K7 f=2 general 0", "c164e0ec25970d28c1dd1b65aa62045a",
+    trace_bytes
+      (Broadcast.system (Topology.complete 7) ~f:2 ~general:0
+         ~value:(Value.bool true) ~default:bool_default)
+      ~rounds:(Broadcast.decision_round ~f:2 + 1) )
+
 (* (label, committed MD5 hex, bytes) *)
 let golden =
   [ ( "trace eig K4 f=1", "d9bdb3e04cdb28b0b76398559ebfe8c9",
@@ -182,21 +201,13 @@ let golden =
     (* The four cases below were computed at commit 762e0ea, before the
        dense EIG tree replaced the label-keyed map; that commit has no
        boxed executor, so they have no boxed answer. *)
-    ( "trace eig K12 f=2 split-brain at {0,1}",
-      "dcefbc71a6eb1c281c58396965287a94",
-      trace_bytes
-        (eig_attacked 12 2 ~faulty:[ 0; 1 ] (split_brain 12 2))
-        ~rounds:(Eig.decision_round ~f:2 + 1) );
+    k12_split_brain ();
     ( "trace eig K12 f=2 babbler at {10,11}",
       "fd5e627c21fc65e0b06d101c8818a1ff",
       trace_bytes
         (eig_attacked 12 2 ~faulty:[ 10; 11 ] (babbler 12))
         ~rounds:(Eig.decision_round ~f:2 + 1) );
-    ( "trace broadcast K7 f=2 general 0", "c164e0ec25970d28c1dd1b65aa62045a",
-      trace_bytes
-        (Broadcast.system (Topology.complete 7) ~f:2 ~general:0
-           ~value:(Value.bool true) ~default:bool_default)
-        ~rounds:(Broadcast.decision_round ~f:2 + 1) );
+    k7_broadcast ();
     ( "trace interactive K4 f=1", "3b2014bb2afeb7e159f975d9dcf16246",
       trace_bytes
         (Interactive.system (Topology.complete 4) ~f:1 ~inputs:(alt_inputs 4)
@@ -240,6 +251,46 @@ let allocation_budget () =
        budget flat)
     (flat <= budget)
 
+(* A warm eig K12 f=2 run allocated 507,727 minor words while every relay
+   round consed its own label keys and [resolve] built vote lists; with the
+   shared label tables and the scratch-array resolve it allocates ~75,000.
+   The ceiling sits between the two, so losing either mechanism fails. *)
+let relay_allocation () =
+  let sys = eig_sys 12 2 in
+  let rounds = Eig.decision_round ~f:2 + 1 in
+  ignore (Exec.run sys ~rounds);
+  let before = Gc.minor_words () in
+  ignore (Exec.run sys ~rounds);
+  let words = Gc.minor_words () -. before in
+  let ceiling = 150_000.0 in
+  check
+    (Printf.sprintf "eig K12 f=2 allocates at most %.0f minor words (%.0f)"
+       ceiling words)
+    (words <= ceiling)
+
+(* --- determinism across domains -------------------------------------------- *)
+
+(* The relay's label tables are memoized per domain.  Two fresh domains
+   each build their own while running the same cases at the same time, and
+   each must still reproduce the committed digests. *)
+let cross_domain () =
+  let digests () =
+    List.map
+      (fun (label, expected, bytes) ->
+        label, expected, Digest.to_hex (Digest.string (bytes ())))
+      [ k12_split_brain (); k7_broadcast () ]
+  in
+  List.iteri
+    (fun i results ->
+      List.iter
+        (fun (label, expected, got) ->
+          check
+            (Printf.sprintf "%s in domain %d: digest %s, committed %s" label i
+               got expected)
+            (got = expected))
+        results)
+    (List.map Domain.join (List.init 2 (fun _ -> Domain.spawn digests)))
+
 let () =
   List.iter
     (fun (label, expected, bytes) ->
@@ -249,10 +300,14 @@ let () =
         (got = expected))
     golden;
   allocation_budget ();
+  relay_allocation ();
+  cross_domain ();
   if !failures > 0 then begin
     Printf.eprintf "perf-smoke: %d failure(s)\n" !failures;
     exit 1
   end;
   print_endline
-    (Printf.sprintf "perf-smoke ok: %d golden digests + allocation budget"
+    (Printf.sprintf
+       "perf-smoke ok: %d golden digests + allocation budgets + cross-domain \
+        digests"
        (List.length golden))

@@ -217,6 +217,17 @@ let rec ref_resolve ~n ~f ~default find label =
     |> List.map (fun j -> ref_resolve ~n ~f ~default find (label @ [ j ]))
     |> ref_majority ~default
 
+(* Every label of length [len] over ids [0 .. n-1], in label order. *)
+let rec all_labels ~n len =
+  if len = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun l ->
+        List.filter_map
+          (fun j -> if List.mem j l then None else Some (l @ [ j ]))
+          (List.init n Fun.id))
+      (all_labels ~n (len - 1))
+
 (* A random valid label set: n <= 8, labels of length <= 3, values from a
    three-value palette so majorities are contested.  Dense cases keep most
    labels of a full tree; sparse ones draw a few labels, duplicates
@@ -231,16 +242,6 @@ let tree_case_gen =
     int_range 0 depth >|= fun len -> List.filteri (fun i _ -> i < len) perm
   in
   let entry = pair label (oneofl palette) in
-  let rec all_labels len =
-    if len = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun l ->
-          List.filter_map
-            (fun j -> if List.mem j l then None else Some (l @ [ j ]))
-            (List.init n Fun.id))
-        (all_labels (len - 1))
-  in
   let dense =
     flatten_l
       (List.concat_map
@@ -249,7 +250,7 @@ let tree_case_gen =
              (fun l ->
                pair (int_bound 9) (oneofl palette) >|= fun (keep, v) ->
                if keep = 0 then None else Some (l, v))
-             (all_labels len))
+             (all_labels ~n len))
          (List.init (depth + 1) Fun.id))
     >|= List.filter_map Fun.id
   in
@@ -338,6 +339,99 @@ let prop_majority =
       let default = Value.unit in
       Value.equal (Eig_tree.majority ~default vs) (ref_majority ~default vs))
 
+(* Every slot at n <= 8 and level <= 4.  Filling a whole level in label
+   order and reading it back in slot order checks that slot c holds the
+   c-th label — rank (unrank c) = c — and that its shared key decodes to
+   that label; the encoding checks that every stored entry, shared or
+   freshly paired, equals [Pair (label_key label, v)]. *)
+let prop_every_slot =
+  let palette =
+    QCheck.make
+      ~print:(fun vs -> String.concat "," (List.map Value.to_string vs))
+      QCheck.Gen.(
+        list_size (int_range 1 5)
+          (oneofl
+             [ Value.bool true; Value.bool false; Value.int 3;
+               Value.string "x"; Value.unit ]))
+  in
+  QCheck.Test.make ~name:"Eig_tree: every slot's shared key and entry"
+    ~count:10 palette (fun palette ->
+      let k = List.length palette in
+      List.for_all
+        (fun n ->
+          let levels = List.init (min 4 n + 1) (fun r -> all_labels ~n r) in
+          let valued =
+            List.map
+              (List.mapi (fun c l -> l, List.nth palette ((c + n) mod k)))
+              levels
+          in
+          let t = build n (List.concat valued) in
+          List.for_all2 (fun r entries -> Eig_tree.level t r = entries)
+            (List.init (List.length valued) Fun.id)
+            valued
+          && Value.equal (Eig_tree.to_value t) (encoded (List.concat valued)))
+        (List.init 8 (fun i -> i + 1)))
+
+(* The per-domain table memo has a slot budget; n = 16 level 4 alone
+   exceeds it, so alternating with smaller tables drops and rebuilds the
+   memo.  Every entry must stay the one a fresh pair would give. *)
+let memo_budget () =
+  List.iter
+    (fun (n, label) ->
+      List.iter
+        (fun v ->
+          check tbool
+            (Printf.sprintf "n=%d label %s" n
+               (String.concat "." (List.map string_of_int label)))
+            true
+            (Value.equal
+               (Eig_tree.to_value (Eig_tree.add (Eig_tree.empty ~n) label v))
+               (Value.of_assoc [ Eig_tree.label_key label, v ])))
+        [ Value.bool true; Value.bool false; Value.int 7 ])
+    [ 16, [ 15; 0; 14; 1 ]; 5, [ 4; 2 ]; 16, [ 3; 2; 1 ]; 16, [ 0; 1; 2; 3 ];
+      12, [ 11; 10; 9 ]; 16, [ 15; 14; 13; 12 ] ]
+
+(* Ragged trees for [resolve]: each slot of a depth-(f+1) tree is absent
+   with probability 1/4, and the palette is either two booleans (even
+   sibling counts tie) or mixes in non-boolean values. *)
+let resolve_case =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 7 >>= fun n ->
+    int_range 0 (min 2 (n - 1)) >>= fun f ->
+    oneofl
+      [ [ Value.bool true; Value.bool false ];
+        [ Value.bool true; Value.bool false; Value.int 3;
+          Value.pair (Value.int 1) (Value.string "v") ] ]
+    >>= fun palette ->
+    flatten_l
+      (List.concat_map
+         (fun len ->
+           List.map
+             (fun l ->
+               pair (int_bound 3) (oneofl palette) >|= fun (keep, v) ->
+               if keep = 0 then None else Some (l, v))
+             (all_labels ~n len))
+         (List.init (f + 2) Fun.id))
+    >|= fun claims -> n, f, List.filter_map Fun.id claims
+  in
+  QCheck.make
+    ~print:(fun (n, f, claims) ->
+      Printf.sprintf "f=%d %s" f (print_case (n, f + 1, claims)))
+    gen
+
+let prop_resolve =
+  QCheck.Test.make ~name:"Eig_tree.resolve matches the reference on ragged trees"
+    ~count:300 resolve_case (fun (n, f, claims) ->
+      let t = build n claims in
+      let default = Value.unit in
+      List.for_all
+        (fun root ->
+          Value.equal
+            (Eig_tree.resolve ~f ~default t root)
+            (ref_resolve ~n ~f ~default (fun l -> List.assoc_opt l claims) root))
+        (List.concat_map (fun len -> all_labels ~n len) (List.init (f + 1) Fun.id)))
+
 let prop_tree_rejects =
   let bad =
     QCheck.make
@@ -381,4 +475,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_tree_queries;
       QCheck_alcotest.to_alcotest prop_majority;
       QCheck_alcotest.to_alcotest prop_tree_rejects;
+      QCheck_alcotest.to_alcotest prop_every_slot;
+      Alcotest.test_case "label tables past the memo budget" `Quick memo_budget;
+      QCheck_alcotest.to_alcotest prop_resolve;
     ] )
