@@ -181,11 +181,6 @@ let connectivity_boundary t ~f ~kappas ~n =
       | Job.Cell _ | Job.Cert _ | Job.Chaos _ -> assert false)
     (run_all t (List.map (fun kappa -> Job.Conn_cell { kappa; n; f }) kappas))
 
-let certify t ~problem ~n ~f =
-  match run_job t (Job.Certify { problem; n; f }) with
-  | Job.Cert outcome -> outcome
-  | Job.Cell _ | Job.Conn _ | Job.Chaos _ -> assert false
-
 let certify_result t ~problem ~n ~f =
   match run_job_result t (Job.Certify { problem; n; f }) with
   | Ok (Job.Cert outcome) -> Ok outcome

@@ -90,13 +90,10 @@ val connectivity_boundary :
   t -> f:int -> kappas:int list -> n:int -> (int * bool * bool option * bool option) list
 (** Parallel, memoized {!Sweep.connectivity_boundary}. *)
 
-val certify : t -> problem:Job.cert_problem -> n:int -> f:int -> Job.cert_outcome
-(** One memoized certificate job (the CLI's [certify] path). *)
-
 val certify_result :
   t -> problem:Job.cert_problem -> n:int -> f:int ->
   (Job.cert_outcome, Flm_error.t) result
-(** Supervised {!certify}. *)
+(** One memoized, supervised certificate job (the CLI's [certify] path). *)
 
 val chaos :
   t ->

@@ -162,26 +162,37 @@ let seeded_inputs rng n =
       Value.bool
         (fst (Fault_prng.flip (Fault_prng.derive (Fault_prng.derive rng 1) u) ~p:0.5)))
 
-(* Install a (node, strategy) list against the trial stream.  The per-node
-   stream depends only on (seed, trial, node), never on which other nodes
-   are faulty — so dropping a node from the set (as the shrinker does)
-   leaves the remaining installs byte-identical. *)
-let install_faults ~rng ~horizon sys faults =
-  List.fold_left
-    (fun (sys, labels) (u, strategy) ->
-      let node_rng = Fault_prng.derive (Fault_prng.derive rng 4) u in
-      let sys, label =
-        Fault_strategy.install ~rng:node_rng ~horizon ~strategy sys u
-      in
-      sys, (u, label) :: labels)
-    (sys, []) faults
-
-let judge_trial ~g ~inputs ~faulty ~labels ~seed ~trial trace =
+(* The tail every trial shares: seeded inputs, the system they drive
+   ([system inputs] gives it with its horizon), the faults installed
+   against the trial stream, one run, and the Byzantine-agreement verdict
+   over the correct nodes.  Each node's install stream depends only on
+   (seed, trial, node), never on which other nodes are faulty — so
+   dropping a node from the set (as the shrinker does) leaves the remaining
+   installs byte-identical. *)
+let seeded_trial g ~seed ~trial ~system ~faults =
+  let rng = trial_rng ~seed ~trial in
+  let inputs = seeded_inputs rng (Graph.n g) in
+  let sys, horizon = system inputs in
+  let faults = faults rng in
+  let faulted, labels =
+    List.fold_left
+      (fun (sys, labels) (u, strategy) ->
+        let node_rng = Fault_prng.derive (Fault_prng.derive rng 4) u in
+        let sys, label =
+          Fault_strategy.install ~rng:node_rng ~horizon ~strategy sys u
+        in
+        sys, (u, label) :: labels)
+      (sys, []) faults
+  in
+  let faulty = List.map fst faults in
   let correct =
     List.filter (fun u -> not (List.mem u faulty)) (Graph.nodes g)
   in
   let violations =
-    Ba_spec.check ~trace ~correct ~inputs:(fun u -> inputs.(u))
+    Ba_spec.check
+      ~trace:(Exec.run faulted ~rounds:horizon)
+      ~correct
+      ~inputs:(fun u -> inputs.(u))
   in
   {
     trial;
@@ -204,11 +215,14 @@ let parse_strategy strategy =
   | Ok s -> s
   | Error d -> fail_input strategy d
 
-let seeded_faulty_set rng ~n ~f =
+(* A seeded faulty set, each member running [strategy]. *)
+let seeded_faults ~n ~f strategy rng =
   let k =
     1 + fst (Fault_prng.int (Fault_prng.derive rng 2) (max 1 (min f (n - 1))))
   in
-  fst (Fault_prng.choose_distinct (Fault_prng.derive rng 3) ~k ~bound:n)
+  List.map
+    (fun u -> u, strategy)
+    (fst (Fault_prng.choose_distinct (Fault_prng.derive rng 3) ~k ~bound:n))
 
 (* One chaos trial: parse the target family, pick a seeded faulty set,
    install the strategy at each faulty node, run the strongest protocol the
@@ -219,16 +233,14 @@ let seeded_faulty_set rng ~n ~f =
    [Flm_error.Error (Invalid_input _)] — never a cached verdict. *)
 let run_chaos ~family ~f ~seed ~strategy ~trial =
   let g = parse_family family in
-  let strategy_t = parse_strategy strategy in
+  let strategy = parse_strategy strategy in
   let n = Graph.n g in
   if f < 1 then fail_input "f" "f >= 1 required";
   if n < 2 then fail_input family "chaos needs at least 2 nodes";
-  let rng = trial_rng ~seed ~trial in
-  let inputs = seeded_inputs rng n in
   (* Target the strongest protocol the topology admits: EIG on complete
      graphs, EIG-over-overlay on adequate graphs, the flood-vote strawman
      on anything else (where survival is not expected — that is the point). *)
-  let sys, horizon =
+  let system inputs =
     if Graph.min_degree g = n - 1 then
       ( System.make g (fun u ->
             Eig.device ~n ~f ~me:u ~default:bool_default, inputs.(u)),
@@ -241,12 +253,7 @@ let run_chaos ~family ~f ~seed ~strategy ~trial =
             Naive.flood_vote g ~me:u ~rounds:n ~default:bool_default, inputs.(u)),
         n + 2 )
   in
-  let faulty = seeded_faulty_set rng ~n ~f in
-  let faulted, labels =
-    install_faults ~rng ~horizon sys (List.map (fun u -> u, strategy_t) faulty)
-  in
-  judge_trial ~g ~inputs ~faulty ~labels ~seed ~trial
-    (Exec.run faulted ~rounds:horizon)
+  seeded_trial g ~seed ~trial ~system ~faults:(seeded_faults ~n ~f strategy)
 
 (* --- the campaign protocol registry ---------------------------------------- *)
 
@@ -298,19 +305,13 @@ let campaign_system ~protocol g ~f ~inputs =
 
 let run_campaign ~protocol ~family ~f ~seed ~strategy ~trial =
   let g = parse_family family in
-  let strategy_t = parse_strategy strategy in
+  let strategy = parse_strategy strategy in
   let n = Graph.n g in
   if f < 1 then fail_input "f" "f >= 1 required";
   if n < 2 then fail_input family "campaign needs at least 2 nodes";
-  let rng = trial_rng ~seed ~trial in
-  let inputs = seeded_inputs rng n in
-  let sys, horizon = campaign_system ~protocol g ~f ~inputs in
-  let faulty = seeded_faulty_set rng ~n ~f in
-  let faulted, labels =
-    install_faults ~rng ~horizon sys (List.map (fun u -> u, strategy_t) faulty)
-  in
-  judge_trial ~g ~inputs ~faulty ~labels ~seed ~trial
-    (Exec.run faulted ~rounds:horizon)
+  seeded_trial g ~seed ~trial
+    ~system:(fun inputs -> campaign_system ~protocol g ~f ~inputs)
+    ~faults:(seeded_faults ~n ~f strategy)
 
 (* --- explicit-control scenario replay (the shrinker's runner) -------------- *)
 
@@ -327,19 +328,14 @@ let campaign_scenario { protocol; family; f; seed; trial; rounds; faults } =
         u, parse_strategy spec)
       faults
   in
-  let rng = trial_rng ~seed ~trial in
-  let inputs = seeded_inputs rng n in
-  let sys, full_horizon = campaign_system ~protocol g ~f ~inputs in
-  let horizon =
+  let system inputs =
+    let sys, full_horizon = campaign_system ~protocol g ~f ~inputs in
     match rounds with
-    | None -> full_horizon
-    | Some r when r >= 1 -> min r full_horizon
+    | None -> sys, full_horizon
+    | Some r when r >= 1 -> sys, min r full_horizon
     | Some _ -> fail_input "scenario" "rounds must be >= 1"
   in
-  let faulty = List.map fst faults in
-  let faulted, labels = install_faults ~rng ~horizon sys faults in
-  judge_trial ~g ~inputs ~faulty ~labels ~seed ~trial
-    (Exec.run faulted ~rounds:horizon)
+  seeded_trial g ~seed ~trial ~system ~faults:(fun _ -> faults)
 
 let run ?memo job =
   match job with
@@ -349,27 +345,34 @@ let run ?memo job =
     let horizon = Eig.decision_round ~f + 1 in
     let eig w = Eig.device ~n ~f ~me:w ~default:bool_default in
     let v0 = Value.bool false and v1 = Value.bool true in
-    (* The result APIs turn precondition failures (n > 3f, a κ out of
-       range…) into typed [Invalid_input]; re-raised here so supervision
-       reports them instead of a wrapped [Invalid_argument]. *)
+    (* Precondition failures (n > 3f, a graph without a small cut…) raise
+       [Invalid_argument]; the guard types them as [Invalid_input], raised
+       again here so supervision reports them instead of a wrapped
+       [Invalid_argument]. *)
+    let what, certify =
+      match problem with
+      | Ba ->
+        ( "ba-nodes certificate",
+          fun () ->
+            Ba_nodes.certify ~device:eig ~v0 ~v1 ~horizon ~f
+              (Topology.complete n) )
+      | Ba_collapse ->
+        ( "collapse certificate",
+          fun () ->
+            Collapse.certify_via_triangle ~device:eig ~v0 ~v1 ~horizon ~f
+              (Topology.complete n) )
+      | Ba_conn ->
+        ( "ba-connectivity certificate",
+          fun () ->
+            let g = Topology.cycle n in
+            Ba_connectivity.certify
+              ~device:(fun w ->
+                Naive.flood_vote g ~me:w ~rounds:n ~default:bool_default)
+              ~v0 ~v1 ~horizon:(n + 3) ~f g )
+    in
     let certificate =
-      match
-        match problem with
-        | Ba ->
-          Ba_nodes.certify_result ~device:eig ~v0 ~v1 ~horizon ~f
-            (Topology.complete n)
-        | Ba_collapse ->
-          Collapse.certify_via_triangle_result ~device:eig ~v0 ~v1 ~horizon ~f
-            (Topology.complete n)
-        | Ba_conn ->
-          let g = Topology.cycle n in
-          Ba_connectivity.certify_result
-            ~device:(fun w ->
-              Naive.flood_vote g ~me:w ~rounds:n ~default:bool_default)
-            ~v0 ~v1 ~horizon:(n + 3) ~f g
-      with
-      | Ok c -> c
-      | Error e -> Flm_error.raise_error e
+      Result.fold ~ok:Fun.id ~error:Flm_error.raise_error
+        (Flm_error.guard ~what certify)
     in
     Cert
       {

@@ -1,54 +1,26 @@
 let certify_simple ~device ~horizon () =
-  let g = Topology.complete 3 in
-  let covering = Covering.triangle_hexagon () in
-  let covering_system =
-    System.of_covering covering ~device ~input:(fun s ->
-        if s < 3 then Value.float 0.0 else Value.float 1.0)
-  in
-  let covering_trace = Exec.run covering_system ~rounds:horizon in
-  let reconstruct ~label ~chi =
-    Reconstruct.run ~label ~covering ~covering_system ~covering_trace ~device
-      ~chi ~rounds:horizon ()
-  in
   (* Hexagon: copy 0 = (a,b,c) with input 0, copy 1 with input 1. *)
-  let chi_e1 v = if v = 0 then None else Some 0 in
-  let chi_e2 v = if v = 1 then None else if v = 0 then Some 1 else Some 0 in
-  let chi_e3 v = if v = 2 then None else Some 1 in
-  let checked run =
-    let inputs u =
-      Value.get_float (System.input run.Reconstruct.system u)
-    in
-    ( run,
-      Approx_spec.check_simple ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct ~inputs )
-  in
-  let runs =
-    [ checked (reconstruct ~label:"E1" ~chi:chi_e1);
-      checked (reconstruct ~label:"E2" ~chi:chi_e2);
-      checked (reconstruct ~label:"E3" ~chi:chi_e3);
-    ]
-  in
-  let verdict =
-    Certificate.decide ~runs
-      ~fallback:
-        "E1 pins outputs to 0, E3 pins outputs to 1, E2 straddles them — \
-         the three cannot all hold"
-      ()
-  in
-  {
-    Certificate.problem = "approximate-agreement";
-    description =
+  Certificate.build ~problem:"approximate-agreement"
+    ~description:
       "Theorem 5 (simple approximate agreement): hexagon covering of the \
-       triangle, inputs 0 and 1";
-    target = g;
-    f = 1;
-    covering;
-    covering_trace;
-    runs;
-    aux = [];
-    notes = [];
-    verdict;
-  }
+       triangle, inputs 0 and 1"
+    ~f:1 ~covering:(Covering.triangle_hexagon ()) ~device
+    ~input:(fun s -> if s < 3 then Value.float 0.0 else Value.float 1.0)
+    ~horizon
+    ~scenarios:
+      [ ("E1", fun v -> if v = 0 then None else Some 0);
+        ("E2", fun v ->
+          if v = 1 then None else if v = 0 then Some 1 else Some 0);
+        ("E3", fun v -> if v = 2 then None else Some 1);
+      ]
+    ~check:(fun r ->
+      Approx_spec.check_simple ~trace:r.Reconstruct.trace
+        ~correct:r.Reconstruct.correct ~inputs:(fun u ->
+          Value.get_float (System.input r.Reconstruct.system u)))
+    ~fallback:
+      "E1 pins outputs to 0, E3 pins outputs to 1, E2 straddles them — the \
+       three cannot all hold"
+    ()
 
 let choose_k ~eps ~gamma ~delta =
   if delta <= eps then
@@ -65,41 +37,9 @@ let choose_k ~eps ~gamma ~delta =
 let certify_edg ~device ~eps ~gamma ~delta ?k ~horizon () =
   let k = match k with Some k -> k | None -> choose_k ~eps ~gamma ~delta in
   if (k + 2) mod 3 <> 0 then invalid_arg "Approx_chain: k+2 must be divisible by 3";
-  let g = Topology.complete 3 in
-  let m = (k + 2) / 3 in
-  let covering = Covering.triangle_ring ~copies:m in
+  let covering = Covering.triangle_ring ~copies:((k + 2) / 3) in
   let ring_len = k + 2 in
-  let covering_system =
-    System.of_covering covering ~device ~input:(fun s ->
-        Value.float (float_of_int s *. delta))
-  in
-  let covering_trace = Exec.run covering_system ~rounds:horizon in
-  (* Scenarios S_0 .. S_k: adjacent pairs marching up the chain (the ring
-     edge from k+1 back to 0 spans the whole input range and is not a valid
-     scenario — its inputs are (k+1)δ apart). *)
-  let pair_run i =
-    let j = i + 1 in
-    let ci, vi = Covering.decode covering i in
-    let cj, vj = Covering.decode covering j in
-    let chi v =
-      if v = vi then Some ci else if v = vj then Some cj else None
-    in
-    let run =
-      Reconstruct.run
-        ~label:(Printf.sprintf "S%d" i)
-        ~covering ~covering_system ~covering_trace ~device ~chi
-        ~rounds:horizon ()
-    in
-    let violations =
-      Approx_spec.check_edg ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct
-        ~inputs:(fun u -> Value.get_float (System.input run.Reconstruct.system u))
-        ~eps ~gamma
-    in
-    run, violations
-  in
-  let runs = List.init (k + 1) pair_run in
-  let outputs =
+  let outputs covering_trace =
     List.init ring_len (fun i ->
         match Trace.decision covering_trace i with
         | Some v -> (
@@ -108,40 +48,40 @@ let certify_edg ~device ~eps ~gamma ~delta ?k ~horizon () =
           | None -> "?")
         | None -> "-")
   in
-  let notes =
-    [ Printf.sprintf
-        "chain of %d nodes, inputs 0 .. %g in steps of %g; eps=%g gamma=%g \
-         (delta > 2*gamma/(k-1) + eps = %g)"
-        ring_len
-        (float_of_int (ring_len - 1) *. delta)
-        delta eps gamma
-        ((2.0 *. gamma /. float_of_int (k - 1)) +. eps);
-      Printf.sprintf
-        "Lemma 7: node i+1's output is at most delta+gamma+i*eps, but \
-         validity at S%d needs at least %g" k
-        ((float_of_int k *. delta) -. gamma);
-      "chain outputs in S: " ^ String.concat " " outputs;
-    ]
-  in
-  let verdict =
-    Certificate.decide ~runs
-      ~fallback:
-        "every link of the Lemma 7 chain held — arithmetically impossible \
-         for the chosen k"
-      ()
-  in
-  {
-    Certificate.problem = "edg-agreement";
-    description =
-      Printf.sprintf
-        "Theorem 6 ((eps,delta,gamma)-agreement): %d-node chain over the \
-         triangle, eps=%g delta=%g gamma=%g" ring_len eps delta gamma;
-    target = g;
-    f = 1;
-    covering;
-    covering_trace;
-    runs;
-    aux = [];
-    notes;
-    verdict;
-  }
+  Certificate.build ~problem:"edg-agreement"
+    ~description:
+      (Printf.sprintf
+         "Theorem 6 ((eps,delta,gamma)-agreement): %d-node chain over the \
+          triangle, eps=%g delta=%g gamma=%g" ring_len eps delta gamma)
+    ~f:1 ~covering ~device
+    ~input:(fun s -> Value.float (float_of_int s *. delta))
+    ~horizon
+    (* Scenarios S_0 .. S_k: adjacent pairs marching up the chain (the ring
+       edge from k+1 back to 0 spans the whole input range and is not a
+       valid scenario — its inputs are (k+1)δ apart). *)
+    ~scenarios:
+      (List.init (k + 1) (fun i ->
+           Printf.sprintf "S%d" i, Certificate.edge_scenario covering i (i + 1)))
+    ~check:(fun r ->
+      Approx_spec.check_edg ~trace:r.Reconstruct.trace
+        ~correct:r.Reconstruct.correct
+        ~inputs:(fun u -> Value.get_float (System.input r.Reconstruct.system u))
+        ~eps ~gamma)
+    ~notes:(fun covering_trace ->
+      [ Printf.sprintf
+          "chain of %d nodes, inputs 0 .. %g in steps of %g; eps=%g gamma=%g \
+           (delta > 2*gamma/(k-1) + eps = %g)"
+          ring_len
+          (float_of_int (ring_len - 1) *. delta)
+          delta eps gamma
+          ((2.0 *. gamma /. float_of_int (k - 1)) +. eps);
+        Printf.sprintf
+          "Lemma 7: node i+1's output is at most delta+gamma+i*eps, but \
+           validity at S%d needs at least %g" k
+          ((float_of_int k *. delta) -. gamma);
+        "chain outputs in S: " ^ String.concat " " (outputs covering_trace);
+      ])
+    ~fallback:
+      "every link of the Lemma 7 chain held — arithmetically impossible for \
+       the chosen k"
+    ()

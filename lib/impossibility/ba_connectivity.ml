@@ -18,7 +18,7 @@ let default_cut_split g ~f =
   | _ -> invalid_arg "Ba_connectivity: cut does not separate")
   |> fun (a, c) -> a, b, c, d
 
-let certify ?(signed = false) ?split ~device ~v0 ~v1 ~horizon ~f g =
+let certify ?signed ?split ~device ~v0 ~v1 ~horizon ~f g =
   let a, b, c, d =
     match split with Some s -> s | None -> default_cut_split g ~f
   in
@@ -27,65 +27,31 @@ let certify ?(signed = false) ?split ~device ~v0 ~v1 ~horizon ~f g =
     Covering.crossed g ~crossed:(fun u v ->
         (in_a u && in_d v) || (in_d u && in_a v))
   in
-  let covering_system =
-    System.of_covering covering ~device ~input:(fun s ->
-        if fst (Covering.decode covering s) = 0 then v0 else v1)
-  in
-  let covering_trace = Exec.run ~signed covering_system ~rounds:horizon in
-  let reconstruct ~label ~chi =
-    Reconstruct.run ~signed ~label ~covering ~covering_system ~covering_trace
-      ~device ~chi ~rounds:horizon ()
-  in
-  let chi_e1 v = if in_d v then None else Some 0 in
-  let chi_e2 v =
-    if List.mem v b then None else if in_a v then Some 1 else Some 0
-  in
-  let chi_e3 v = if in_d v then None else Some 1 in
-  let checked run =
-    let inputs u = System.input run.Reconstruct.system u in
-    ( run,
-      Ba_spec.check ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct ~inputs )
-  in
-  let runs =
-    [ checked (reconstruct ~label:"E1" ~chi:chi_e1);
-      checked (reconstruct ~label:"E2" ~chi:chi_e2);
-      checked (reconstruct ~label:"E3" ~chi:chi_e3);
-    ]
-  in
-  let verdict =
-    Certificate.decide ~runs
-      ~fallback:
-        "all three runs satisfied the conditions — impossible for \
-         deterministic devices"
-      ()
-  in
-  let show = List.map string_of_int in
-  {
-    Certificate.problem = "byzantine-agreement";
-    description =
-      Printf.sprintf
-        "Theorem 1 (2f+1 connectivity): c(G) <= 2f=%d; cut split b={%s} \
-         d={%s}, sides a={%s} c={%s}; double cover with a-d edges crossed"
-        (2 * f)
-        (String.concat "," (show b))
-        (String.concat "," (show d))
-        (String.concat "," (show a))
-        (String.concat "," (show c));
-    target = g;
-    f;
-    covering;
-    covering_trace;
-    runs;
-    aux = [];
-    notes =
+  let show nodes = String.concat "," (List.map string_of_int nodes) in
+  Certificate.build ?signed ~problem:"byzantine-agreement"
+    ~description:
+      (Printf.sprintf
+         "Theorem 1 (2f+1 connectivity): c(G) <= 2f=%d; cut split b={%s} \
+          d={%s}, sides a={%s} c={%s}; double cover with a-d edges crossed"
+         (2 * f) (show b) (show d) (show a) (show c))
+    ~f ~covering ~device
+    ~input:(fun s -> if fst (Covering.decode covering s) = 0 then v0 else v1)
+    ~horizon
+    ~scenarios:
+      [ ("E1", fun v -> if in_d v then None else Some 0);
+        ("E2", fun v ->
+          if List.mem v b then None else if in_a v then Some 1 else Some 0);
+        ("E3", fun v -> if in_d v then None else Some 1);
+      ]
+    ~check:(fun r ->
+      Ba_spec.check ~trace:r.Reconstruct.trace ~correct:r.Reconstruct.correct
+        ~inputs:(System.input r.Reconstruct.system))
+    ~notes:(fun _ ->
       [ "chain: E1 validity pins v0 on a,b,c (copy 0); E2 agreement carries \
          c's value across the cut to a (copy 1); E3 validity pins v1 on \
          a,b,c (copy 1)";
-      ];
-    verdict;
-  }
-
-let certify_result ?signed ?split ~device ~v0 ~v1 ~horizon ~f g =
-  Flm_error.guard ~what:"ba-connectivity certificate" (fun () ->
-      certify ?signed ?split ~device ~v0 ~v1 ~horizon ~f g)
+      ])
+    ~fallback:
+      "all three runs satisfied the conditions — impossible for \
+       deterministic devices"
+    ()

@@ -28,16 +28,3 @@ val certify :
   f:int ->
   Graph.t ->
   Certificate.t
-
-val certify_result :
-  ?signed:bool ->
-  ?split:Graph.node list * Graph.node list * Graph.node list * Graph.node list ->
-  device:(Graph.node -> Device.t) ->
-  v0:Value.t ->
-  v1:Value.t ->
-  horizon:int ->
-  f:int ->
-  Graph.t ->
-  (Certificate.t, Flm_error.t) result
-(** {!certify} with precondition failures (complete/disconnected graph, a
-    non-separating cut) as typed [Invalid_input] errors. *)

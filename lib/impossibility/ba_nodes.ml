@@ -21,7 +21,7 @@ let default_partition g ~f =
   let b, c = split size_b rest in
   a, b, c
 
-let certify ?(signed = false) ?partition ~device ~v0 ~v1 ~horizon ~f g =
+let certify ?signed ?partition ~device ~v0 ~v1 ~horizon ~f g =
   let a, b, c =
     match partition with Some p -> p | None -> default_partition g ~f
   in
@@ -30,65 +30,33 @@ let certify ?(signed = false) ?partition ~device ~v0 ~v1 ~horizon ~f g =
     Covering.crossed g ~crossed:(fun u v ->
         (in_a u && in_c v) || (in_c u && in_a v))
   in
-  let covering_system =
-    System.of_covering covering ~device ~input:(fun s ->
-        if fst (Covering.decode covering s) = 0 then v0 else v1)
-  in
-  let covering_trace = Exec.run ~signed covering_system ~rounds:horizon in
-  let reconstruct ~label ~chi =
-    Reconstruct.run ~signed ~label ~covering ~covering_system ~covering_trace
-      ~device ~chi ~rounds:horizon ()
-  in
-  let chi_e1 v = if in_a v then None else Some 0 in
-  let chi_e2 v =
-    if in_a v then Some 1 else if in_c v then Some 0 else None
-  in
-  let chi_e3 v = if in_c v then None else Some 1 in
-  let checked run =
-    let inputs u = System.input run.Reconstruct.system u in
-    ( run,
-      Ba_spec.check ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct ~inputs )
-  in
-  let runs =
-    [ checked (reconstruct ~label:"E1" ~chi:chi_e1);
-      checked (reconstruct ~label:"E2" ~chi:chi_e2);
-      checked (reconstruct ~label:"E3" ~chi:chi_e3);
-    ]
-  in
-  let verdict =
-    Certificate.decide ~runs
-      ~fallback:
-        "all three runs satisfied agreement, validity and termination — \
-         impossible for deterministic devices"
-      ()
-  in
-  {
-    Certificate.problem = "byzantine-agreement";
-    description =
-      Printf.sprintf
-        "Theorem 1 (3f+1 nodes): n=%d <= 3f=%d; partition a={%s} b={%s} \
-         c={%s}; hexagon-style double cover with a-c edges crossed"
-        (Graph.n g) (3 * f)
-        (String.concat "," (List.map string_of_int a))
-        (String.concat "," (List.map string_of_int b))
-        (String.concat "," (List.map string_of_int c));
-    target = g;
-    f;
-    covering;
-    covering_trace;
-    runs;
-    aux = [];
-    notes =
+  let show nodes = String.concat "," (List.map string_of_int nodes) in
+  Certificate.build ?signed ~problem:"byzantine-agreement"
+    ~description:
+      (Printf.sprintf
+         "Theorem 1 (3f+1 nodes): n=%d <= 3f=%d; partition a={%s} b={%s} \
+          c={%s}; hexagon-style double cover with a-c edges crossed"
+         (Graph.n g) (3 * f) (show a) (show b) (show c))
+    ~f ~covering ~device
+    ~input:(fun s -> if fst (Covering.decode covering s) = 0 then v0 else v1)
+    ~horizon
+    ~scenarios:
+      [ ("E1", fun v -> if in_a v then None else Some 0);
+        ("E2", fun v ->
+          if in_a v then Some 1 else if in_c v then Some 0 else None);
+        ("E3", fun v -> if in_c v then None else Some 1);
+      ]
+    ~check:(fun r ->
+      Ba_spec.check ~trace:r.Reconstruct.trace ~correct:r.Reconstruct.correct
+        ~inputs:(System.input r.Reconstruct.system))
+    ~notes:(fun _ ->
       [ Printf.sprintf
           "chain: E1 validity pins %s on b,c; E2 agreement carries it to a \
            (copy 1); E3 validity pins %s on a,b — the same covering \
            behaviors cannot satisfy all three"
           (Value.to_string v0) (Value.to_string v1);
-      ];
-    verdict;
-  }
-
-let certify_result ?signed ?partition ~device ~v0 ~v1 ~horizon ~f g =
-  Flm_error.guard ~what:"ba-nodes certificate" (fun () ->
-      certify ?signed ?partition ~device ~v0 ~v1 ~horizon ~f g)
+      ])
+    ~fallback:
+      "all three runs satisfied agreement, validity and termination — \
+       impossible for deterministic devices"
+    ()

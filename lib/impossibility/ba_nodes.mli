@@ -30,16 +30,3 @@ val certify :
   Certificate.t
 (** [device w] must be the alleged agreement device for node [w] of the
     target graph; [horizon] must cover its decision round. *)
-
-val certify_result :
-  ?signed:bool ->
-  ?partition:Graph.node list * Graph.node list * Graph.node list ->
-  device:(Graph.node -> Device.t) ->
-  v0:Value.t ->
-  v1:Value.t ->
-  horizon:int ->
-  f:int ->
-  Graph.t ->
-  (Certificate.t, Flm_error.t) result
-(** {!certify} with precondition failures (wrong size, bad partition) as
-    typed [Invalid_input] errors instead of [Invalid_argument]. *)

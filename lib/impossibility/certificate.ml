@@ -42,6 +42,39 @@ let decide ?(aux = []) ~runs ~fallback () =
         Contradiction { run_label = r.Reconstruct.label; violations }
       | None -> Unbroken fallback))
 
+let edge_scenario covering i j =
+  let ci, vi = Covering.decode covering i in
+  let cj, vj = Covering.decode covering j in
+  fun v -> if v = vi then Some ci else if v = vj then Some cj else None
+
+let build ?(signed = false) ?(aux = []) ?(notes = fun _ -> []) ~problem
+    ~description ~f ~covering ~device ~input ~horizon ~scenarios ~check
+    ~fallback () =
+  let covering_system = System.of_covering covering ~device ~input in
+  let covering_trace = Exec.run ~signed covering_system ~rounds:horizon in
+  let runs =
+    List.map
+      (fun (label, chi) ->
+        let run =
+          Reconstruct.run ~signed ~label ~covering ~covering_system
+            ~covering_trace ~device ~chi ~rounds:horizon ()
+        in
+        run, check run)
+      scenarios
+  in
+  {
+    problem;
+    description;
+    target = covering.Covering.target;
+    f;
+    covering;
+    covering_trace;
+    runs;
+    aux;
+    notes = notes covering_trace;
+    verdict = decide ~aux ~runs ~fallback ();
+  }
+
 let verdict_line t =
   match t.verdict with
   | Contradiction { run_label; violations } ->

@@ -3,9 +3,14 @@
     A certificate packages one execution of an FLM construction: the
     inadequate target graph, the covering system and its trace, the
     reconstructed runs with their locality witnesses, the violations found by
-    the problem's condition checkers, and a verdict.  [validate] re-checks
-    the whole object from its parts, so a certificate can be stored, shipped,
-    and independently re-verified. *)
+    the problem's condition checkers, and a verdict.
+
+    Every construction in this library is one {!build} call: the covering,
+    the devices and inputs installed in it, and the named overlapping
+    scenarios that are read back as correct runs of the target graph.
+    [validate] re-derives the locality witnesses and the verdict from the
+    recorded runs; it does not re-run the condition checkers, which needs
+    the certificate to name its devices and checker as data. *)
 
 type verdict =
   | Contradiction of { run_label : string; violations : Violation.t list }
@@ -46,6 +51,35 @@ val decide :
     [Fault_axiom_failed]; otherwise the first anchor or reconstructed run
     with violations wins [Contradiction]; otherwise [Unbroken fallback]. *)
 
+val build :
+  ?signed:bool ->
+  ?aux:(string * Trace.t * Violation.t list) list ->
+  ?notes:(Trace.t -> string list) ->
+  problem:string ->
+  description:string ->
+  f:int ->
+  covering:Covering.t ->
+  device:(Graph.node -> Device.t) ->
+  input:(Graph.node -> Value.t) ->
+  horizon:int ->
+  scenarios:(string * (Graph.node -> int option)) list ->
+  check:(Reconstruct.t -> Violation.t list) ->
+  fallback:string ->
+  unit ->
+  t
+(** The covering argument, run.  Install [device] (a device per node of the
+    target) with [input] (per {e source} node) in the covering, run it
+    fault-free for [horizon] rounds, reconstruct each named scenario
+    [(label, chi)] as a run of the target ({!Reconstruct.run}), [check] it,
+    and {!decide} with [aux] and [fallback].  [notes] renders observations
+    of the covering trace.  The target is [covering]'s target graph. *)
+
+val edge_scenario :
+  Covering.t -> Graph.node -> Graph.node -> Graph.node -> int option
+(** [edge_scenario covering i j] places the targets of the adjacent source
+    nodes [i] and [j] at their copies and leaves the rest faulty: the
+    two-node scenario of a ring edge. *)
+
 val is_contradiction : t -> bool
 
 val verdict_line : t -> string
@@ -54,10 +88,12 @@ val verdict_line : t -> string
     engine's job summaries. *)
 
 val validate : t -> (unit, string) result
-(** Re-verify: the graph is inadequate for [f], the covering is a covering,
-    every run's locality witness and recorded violations match a fresh
-    recomputation of the scenario check, and the verdict is consistent with
-    the recorded runs. *)
+(** Re-verify from the recorded data: the graph is inadequate for [f], the
+    covering is a covering, every run's locality witness matches a fresh
+    comparison of its trace with the covering trace, and the verdict is the
+    one {!decide} gives for the recorded runs and violations.  The recorded
+    violations themselves are taken as given: re-checking them waits on a
+    first-order certificate that names its checker. *)
 
 val pp_summary : Format.formatter -> t -> unit
 val pp : Format.formatter -> t -> unit

@@ -207,7 +207,3 @@ let certify_via_triangle ~device:member_device ~v0 ~v1 ~horizon ~f g =
         (String.concat "," (List.map string_of_int b))
         (String.concat "," (List.map string_of_int c));
   }
-
-let certify_via_triangle_result ~device ~v0 ~v1 ~horizon ~f g =
-  Flm_error.guard ~what:"collapse certificate" (fun () ->
-      certify_via_triangle ~device ~v0 ~v1 ~horizon ~f g)

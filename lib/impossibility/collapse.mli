@@ -43,14 +43,3 @@ val certify_via_triangle :
     three parts, collapse the alleged agreement devices into three product
     devices for the triangle (inputs replicated to members, decisions folded
     by majority), and run the f = 1 hexagon certificate against them. *)
-
-val certify_via_triangle_result :
-  device:(Graph.node -> Device.t) ->
-  v0:Value.t ->
-  v1:Value.t ->
-  horizon:int ->
-  f:int ->
-  Graph.t ->
-  (Certificate.t, Flm_error.t) result
-(** {!certify_via_triangle} with precondition failures as typed
-    [Invalid_input] errors. *)

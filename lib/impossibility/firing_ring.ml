@@ -1,116 +1,25 @@
-let prefix_agrees b1 b2 ~through =
-  let limit = min through (min (Array.length b1 - 1) (Array.length b2 - 1)) in
-  let rec go i = i > limit || (Value.equal b1.(i) b2.(i) && go (i + 1)) in
-  go 0
-
 let certify ~device ~fire_round ?copies ~horizon () =
   if horizon <= fire_round then invalid_arg "Firing_ring: horizon <= fire_round";
-  let m =
-    match copies with
-    | Some m ->
-      if m < 2 || m mod 2 <> 0 then
-        invalid_arg "Firing_ring: copies must be even and >= 2";
-      m
-    | None ->
-      let m = ((4 * (fire_round + 2)) + 2) / 3 in
-      if m mod 2 = 0 then m else m + 1
-  in
-  let g = Topology.complete 3 in
-  let covering = Covering.triangle_ring ~copies:m in
-  let ring_len = 3 * m in
-  (* Stimulus on the second arc. *)
-  let input_of s = Value.bool (s >= ring_len / 2) in
-  let covering_system = System.of_covering covering ~device ~input:input_of in
-  let covering_trace = Exec.run covering_system ~rounds:horizon in
-  let anchor ~stimulated label =
-    let sys = System.make g (fun w -> device w, Value.bool stimulated) in
-    let trace = Exec.run sys ~rounds:horizon in
-    let violations =
-      Firing_spec.check ~trace ~correct:[ 0; 1; 2 ] ~all_correct:true
-        ~stimulated
-    in
-    label, trace, violations
-  in
-  let aux = [ anchor ~stimulated:false "E-quiet"; anchor ~stimulated:true "E-stim" ] in
-  let pair_run i =
-    let j = (i + 1) mod ring_len in
-    let ci, vi = Covering.decode covering i in
-    let cj, vj = Covering.decode covering j in
-    let chi v =
-      if v = vi then Some ci else if v = vj then Some cj else None
-    in
-    let run =
-      Reconstruct.run
-        ~label:(Printf.sprintf "E%d,%d" i j)
-        ~covering ~covering_system ~covering_trace ~device ~chi
-        ~rounds:horizon ()
-    in
-    let violations =
-      Firing_spec.check ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct ~all_correct:false ~stimulated:false
-    in
-    run, violations
-  in
-  let runs = List.init ring_len pair_run in
-  let deep_note ~label ~deep ~anchor_label =
-    let _, anchor_trace, _ =
-      List.find (fun (l, _, _) -> l = anchor_label) aux
-    in
-    let target = snd (Covering.decode covering deep) in
-    let agrees =
-      prefix_agrees
-        (Trace.node_behavior covering_trace deep)
-        (Trace.node_behavior anchor_trace target)
-        ~through:fire_round
-    in
-    Printf.sprintf
-      "%s: ring node %d (over %d) %s the %s behavior through round %d; it \
-       fires at %s in S"
-      label deep target
-      (if agrees then "matches" else "DOES NOT match")
-      anchor_label fire_round
-      (match Firing_spec.fire_time covering_trace deep with
-      | Some r -> string_of_int r
-      | None -> "never")
-  in
-  let deep_quiet = 3 * (m / 4) in
-  let deep_stim = (ring_len / 2) + (3 * (m / 4)) in
-  let fire_times =
-    List.init ring_len (fun i ->
-        match Firing_spec.fire_time covering_trace i with
-        | Some r -> string_of_int r
-        | None -> "-")
-  in
-  let notes =
-    [ Printf.sprintf
-        "ring of %d nodes; stimulus on the second arc; expected firing time \
-         %d" ring_len fire_round;
-      deep_note ~label:"deep in quiet arc" ~deep:deep_quiet
-        ~anchor_label:"E-quiet";
-      deep_note ~label:"deep in stimulated arc" ~deep:deep_stim
-        ~anchor_label:"E-stim";
-      "ring fire times: " ^ String.concat " " fire_times;
-    ]
-  in
-  let verdict =
-    Certificate.decide ~aux ~runs
-      ~fallback:
-        "every pair fired in unison yet the two arcs are pinned to fire and \
-         not fire — unreachable"
-      ()
-  in
-  {
-    Certificate.problem = "firing-squad";
-    description =
+  Ring_argument.certify ~who:"Firing_ring" ~problem:"firing-squad"
+    ~theorem:"Theorem 4 (firing squad, Bounded-Delay)" ~bound:"firing time"
+    ~header:(fun ~ring_len ->
       Printf.sprintf
-        "Theorem 4 (firing squad, Bounded-Delay): %d-ring covering of the \
-         triangle, firing time %d" ring_len fire_round;
-    target = g;
-    f = 1;
-    covering;
-    covering_trace;
-    runs;
-    aux;
-    notes;
-    verdict;
-  }
+        "ring of %d nodes; stimulus on the second arc; expected firing time \
+         %d" ring_len fire_round)
+    ~anchors:("E-quiet", "E-stim")
+    ~deep:("deep in quiet arc", "deep in stimulated arc")
+    ~fate:(fun trace u ->
+      Option.map string_of_int (Firing_spec.fire_time trace u))
+    ~fate_note:(fun r ->
+      "it fires at " ^ Option.value r ~default:"never" ^ " in S")
+    ~fates:"ring fire times"
+    ~check_anchor:(fun ~input trace ->
+      Firing_spec.check ~trace ~correct:[ 0; 1; 2 ] ~all_correct:true
+        ~stimulated:input)
+    ~check:(fun r ->
+      Firing_spec.check ~trace:r.Reconstruct.trace
+        ~correct:r.Reconstruct.correct ~all_correct:false ~stimulated:false)
+    ~fallback:
+      "every pair fired in unison yet the two arcs are pinned to fire and not \
+       fire — unreachable"
+    ~device ~through:fire_round ?copies ~horizon ()

@@ -197,10 +197,3 @@ let pp_nf ppf cells =
         fs)
     ns;
   Format.fprintf ppf "@]"
-
-let nf_cell_result ?memo ~n ~f () =
-  Flm_error.guard ~what:"nf cell" (fun () -> nf_cell ?memo ~n ~f ())
-
-let connectivity_cell_result ?memo ~f ~n ~kappa () =
-  Flm_error.guard ~what:"connectivity cell" (fun () ->
-      connectivity_cell ?memo ~f ~n ~kappa ())

@@ -64,16 +64,3 @@ val connectivity_boundary :
     Uses Dolev relay + flood-vote as the protocol under test. *)
 
 val pp_nf : Format.formatter -> cell list -> unit
-
-val nf_cell_result : ?memo:memo -> n:int -> f:int -> unit -> (cell, Flm_error.t) result
-(** {!nf_cell} with precondition failures ([n < 3]) as typed errors. *)
-
-val connectivity_cell_result :
-  ?memo:memo ->
-  f:int ->
-  n:int ->
-  kappa:int ->
-  unit ->
-  (int * bool * bool option * bool option, Flm_error.t) result
-(** {!connectivity_cell} with precondition failures (κ out of range for the
-    Harary construction) as typed errors. *)

@@ -1,128 +1,26 @@
-let anchor_run ~device ~value ~horizon =
-  let g = Topology.complete 3 in
-  let sys = System.make g (fun w -> device w, value) in
-  Exec.run sys ~rounds:horizon
-
-(* Node behaviors agree through state index [through]. *)
-let prefix_agrees b1 b2 ~through =
-  let limit = min through (min (Array.length b1 - 1) (Array.length b2 - 1)) in
-  let rec go i = i > limit || (Value.equal b1.(i) b2.(i) && go (i + 1)) in
-  go 0
-
 let certify ~device ~deadline ?copies ~horizon () =
   if horizon < deadline then invalid_arg "Weak_ring: horizon < deadline";
-  let m =
-    match copies with
-    | Some m ->
-      if m < 2 || m mod 2 <> 0 then
-        invalid_arg "Weak_ring: copies must be even and >= 2";
-      m
-    | None ->
-      (* Both arcs must hold a node more than [deadline] hops from the other
-         arc: arc length 3m/2 > 2 (deadline + 1). *)
-      let m = ((4 * (deadline + 2)) + 2) / 3 in
-      if m mod 2 = 0 then m else m + 1
-  in
-  let g = Topology.complete 3 in
-  let covering = Covering.triangle_ring ~copies:m in
-  let ring_len = 3 * m in
-  let input_of s = if s < ring_len / 2 then Value.bool false else Value.bool true in
-  let covering_system = System.of_covering covering ~device ~input:input_of in
-  let covering_trace = Exec.run covering_system ~rounds:horizon in
-  (* Anchors: fault-free triangle runs with unanimous inputs. *)
-  let anchor value label =
-    let trace = anchor_run ~device ~value ~horizon in
-    let violations =
+  Ring_argument.certify ~who:"Weak_ring" ~problem:"weak-agreement"
+    ~theorem:"Theorem 2 (weak agreement, Bounded-Delay)" ~bound:"deadline"
+    ~header:(fun ~ring_len ->
+      Printf.sprintf "ring of %d nodes (%d copies); arc inputs 0 then 1"
+        ring_len (ring_len / 3))
+    ~anchors:("E-all-0", "E-all-1")
+    ~deep:("Lemma 3 (deep in 0-arc)", "Lemma 3 (deep in 1-arc)")
+    ~fate:(fun trace u -> Option.map Value.to_string (Trace.decision trace u))
+    ~fate_note:(fun d ->
+      "its decision in S is " ^ Option.value d ~default:"undecided")
+    ~fates:"ring decisions"
+    ~check_anchor:(fun ~input trace ->
       Ba_spec.check_weak ~trace ~correct:[ 0; 1; 2 ] ~all_correct:true
-        ~inputs:(fun _ -> value) ~deadline
-    in
-    label, trace, violations
-  in
-  let aux =
-    [ anchor (Value.bool false) "E-all-0"; anchor (Value.bool true) "E-all-1" ]
-  in
-  (* One reconstructed pair run per ring edge. *)
-  let pair_run i =
-    let j = (i + 1) mod ring_len in
-    let ci, vi = Covering.decode covering i in
-    let cj, vj = Covering.decode covering j in
-    let chi v =
-      if v = vi then Some ci else if v = vj then Some cj else None
-    in
-    let run =
-      Reconstruct.run
-        ~label:(Printf.sprintf "E%d,%d" i j)
-        ~covering ~covering_system ~covering_trace ~device ~chi
-        ~rounds:horizon ()
-    in
-    let violations =
-      Ba_spec.check_weak ~trace:run.Reconstruct.trace
-        ~correct:run.Reconstruct.correct ~all_correct:false
-        ~inputs:(fun u -> System.input run.Reconstruct.system u)
-        ~deadline
-    in
-    run, violations
-  in
-  let runs = List.init ring_len pair_run in
-  (* Lemma 3, executable: a ring node more than [deadline] hops from every
-     node of the other arc behaves like the unanimous anchor through the
-     deadline. *)
-  let deep_check ~label ~deep ~anchor_label =
-    let _, anchor_trace, _ =
-      List.find (fun (l, _, _) -> l = anchor_label) aux
-    in
-    let target = snd (Covering.decode covering deep) in
-    let agrees =
-      prefix_agrees
-        (Trace.node_behavior covering_trace deep)
-        (Trace.node_behavior anchor_trace target)
-        ~through:deadline
-    in
-    Printf.sprintf
-      "Lemma 3 (%s): ring node %d (over %d) %s the %s behavior through \
-       round %d; its decision in S is %s"
-      label deep target
-      (if agrees then "matches" else "DOES NOT match")
-      anchor_label deadline
-      (match Trace.decision covering_trace deep with
-      | Some v -> Value.to_string v
-      | None -> "undecided")
-  in
-  let deep0 = 3 * (m / 4) in
-  let deep1 = (ring_len / 2) + (3 * (m / 4)) in
-  let ring_decisions =
-    List.init ring_len (fun i ->
-        match Trace.decision covering_trace i with
-        | Some v -> Value.to_string v
-        | None -> "-")
-  in
-  let notes =
-    [ Printf.sprintf "ring of %d nodes (%d copies); arc inputs 0 then 1"
-        ring_len m;
-      deep_check ~label:"deep in 0-arc" ~deep:deep0 ~anchor_label:"E-all-0";
-      deep_check ~label:"deep in 1-arc" ~deep:deep1 ~anchor_label:"E-all-1";
-      "ring decisions: " ^ String.concat " " ring_decisions;
-    ]
-  in
-  let verdict =
-    Certificate.decide ~aux ~runs
-      ~fallback:
-        "every pair run agreed and chose by the deadline, yet the deep nodes \
-         are pinned to different values — unreachable"
-      ()
-  in
-  {
-    Certificate.problem = "weak-agreement";
-    description =
-      Printf.sprintf
-        "Theorem 2 (weak agreement, Bounded-Delay): %d-ring covering of the \
-         triangle, deadline %d" ring_len deadline;
-    target = g;
-    f = 1;
-    covering;
-    covering_trace;
-    runs;
-    aux;
-    notes;
-    verdict;
-  }
+        ~inputs:(fun _ -> Value.bool input)
+        ~deadline)
+    ~check:(fun r ->
+      Ba_spec.check_weak ~trace:r.Reconstruct.trace
+        ~correct:r.Reconstruct.correct ~all_correct:false
+        ~inputs:(System.input r.Reconstruct.system)
+        ~deadline)
+    ~fallback:
+      "every pair run agreed and chose by the deadline, yet the deep nodes \
+       are pinned to different values — unreachable"
+    ~device ~through:deadline ?copies ~horizon ()

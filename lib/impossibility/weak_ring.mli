@@ -10,9 +10,9 @@
     all-0 fault-free run (Lemma 3, the executable Bounded-Delay argument) and
     so decides 0 — and symmetrically for 1.  Contradiction.
 
-    The certificate contains the two fault-free anchor runs, one
-    reconstructed pair run per ring edge, and the mechanically checked
-    Lemma-3 prefix equalities (in its notes). *)
+    The certificate ({!Ring_argument}) contains the two fault-free anchor
+    runs, one reconstructed pair run per ring edge, and the mechanically
+    checked Lemma-3 prefix equalities (in its notes). *)
 
 val certify :
   device:(Graph.node -> Device.t) ->

@@ -14,7 +14,9 @@
      four cases (EIG under split-brain and babbler at K12, rooted
      broadcast, interactive consistency) came later, from commit 762e0ea
      before the dense EIG tree replaced the label-keyed map; they have no
-     boxed answer.
+     boxed answer.  [certificate_golden] pins every certificate
+     construction whole (its printout and all its traces); those digests
+     came from commit 2b93e41.
    - allocation budget: the executor must not allocate meaningfully more
      than the boxed path did, and a fixed workload must stay under an
      absolute per-run byte ceiling.  A warm eig K12 f=2 run has its own
@@ -145,6 +147,139 @@ let signed_certificate_bytes () =
        ~v1:(Value.bool true)
        ~horizon:(Dolev_strong.decision_round ~f:1 + 1)
        ~f:1 (Topology.complete 3))
+
+(* A certificate with every trace it holds: its full printout, then a
+   complete dump of the covering trace, of each reconstructed run's trace
+   and of each fault-free anchor trace, in the certificate's own order. *)
+let certificate_bytes build () =
+  let cert = build () in
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf (Format.asprintf "%a@." Certificate.pp cert);
+  Buffer.add_string buf (dump cert.Certificate.covering_trace);
+  List.iter
+    (fun ((r : Reconstruct.t), _) -> Buffer.add_string buf (dump r.trace))
+    cert.Certificate.runs;
+  List.iter
+    (fun (_, trace, _) -> Buffer.add_string buf (dump trace))
+    cert.Certificate.aux;
+  Buffer.contents buf
+
+let v0 = Value.bool false
+let v1 = Value.bool true
+let eig_devices ~n ~f w = Eig.device ~n ~f ~me:w ~default:bool_default
+
+let ba_nodes_cert ?signed ?partition ~device ~horizon ~f n () =
+  Ba_nodes.certify ?signed ?partition ~device ~v0 ~v1 ~horizon ~f
+    (Topology.complete n)
+
+let ba_conn_cert ~f ~rounds ~horizon g () =
+  Ba_connectivity.certify
+    ~device:(fun w -> Naive.flood_vote g ~me:w ~rounds ~default:bool_default)
+    ~v0 ~v1 ~horizon ~f g
+
+(* One case per certificate construction and option.  The digests were
+   computed at commit 2b93e41, before the constructions were rewritten as
+   calls of [Certificate.build]. *)
+let certificate_golden =
+  let eig_horizon f = Eig.decision_round ~f + 1 in
+  let ring_deadline = Eig.decision_round ~f:1 in
+  let fire_round = Firing.fire_round ~f:1 in
+  let firing w = Firing.device ~n:3 ~f:1 ~me:w in
+  [ ( "certificate ba-nodes K3 eig",
+      "471f18ea7f437a0ab54ae2f4f064adae",
+      certificate_bytes
+        (ba_nodes_cert ~device:(eig_devices ~n:3 ~f:1)
+           ~horizon:(eig_horizon 1) ~f:1 3) );
+    ( "certificate ba-nodes K3 phase-king",
+      "565f1982aaee0195d4b6b28788a43bfe",
+      certificate_bytes
+        (ba_nodes_cert
+           ~device:(fun w -> Phase_king.device ~n:3 ~f:1 ~me:w)
+           ~horizon:(Phase_king.decision_round ~f:1 + 1)
+           ~f:1 3) );
+    ( "certificate ba-nodes K3 signed dolev-strong",
+      "b73df9dac4342b65d85866ff4fad6712",
+      certificate_bytes
+        (ba_nodes_cert ~signed:true
+           ~device:(fun w -> Dolev_strong.device ~n:3 ~f:1 ~me:w ~default:v0)
+           ~horizon:(Dolev_strong.decision_round ~f:1 + 1)
+           ~f:1 3) );
+    ( "certificate ba-nodes K4 f=2 partition {0} {1,2} {3}",
+      "70b0b45ab72b04d5e1a6bfbdb2bf167e",
+      certificate_bytes
+        (ba_nodes_cert
+           ~partition:([ 0 ], [ 1; 2 ], [ 3 ])
+           ~device:(eig_devices ~n:4 ~f:2) ~horizon:(eig_horizon 2) ~f:2 4) );
+    ( "certificate ba-nodes K6 f=3",
+      "f113d9dbec8b8c5dbcd56727dadf9a72",
+      certificate_bytes
+        (ba_nodes_cert ~device:(eig_devices ~n:6 ~f:3)
+           ~horizon:(eig_horizon 3) ~f:3 6) );
+    ( "certificate collapse K6 f=2",
+      "ae97ab45e4ebecd6a6a4307209a6e3de",
+      certificate_bytes (fun () ->
+          Collapse.certify_via_triangle ~device:(eig_devices ~n:6 ~f:2) ~v0
+            ~v1 ~horizon:(eig_horizon 2) ~f:2 (Topology.complete 6)) );
+    ( "certificate ba-connectivity C4",
+      "289a2ea233da33b105fc4fc5b7c496b8",
+      certificate_bytes
+        (ba_conn_cert ~f:1 ~rounds:4 ~horizon:7 (Topology.cycle 4)) );
+    ( "certificate ba-connectivity H(4,11) f=2",
+      "a0dfdefc17d5bde4a2c3df95313fbc55",
+      certificate_bytes
+        (ba_conn_cert ~f:2 ~rounds:5 ~horizon:8 (Topology.harary ~k:4 ~n:11))
+    );
+    ( "certificate weak-ring eig",
+      "363dbee02aeb1b3ddb510c19269b3f12",
+      certificate_bytes (fun () ->
+          Weak_ring.certify ~device:(eig_devices ~n:3 ~f:1)
+            ~deadline:ring_deadline ~horizon:(ring_deadline + 2) ()) );
+    (* Deadline 2 defaults to 6 copies, so 8 takes the explicit path. *)
+    ( "certificate weak-ring flood-vote deadline 2 copies 8",
+      "733a243678a5cd6fab66c7570ba6f589",
+      certificate_bytes (fun () ->
+          Weak_ring.certify
+            ~device:(fun w ->
+              Naive.flood_vote (Topology.complete 3) ~me:w ~rounds:2
+                ~default:bool_default)
+            ~deadline:2 ~copies:8 ~horizon:4 ()) );
+    ( "certificate firing-ring",
+      "c17169d27398df6517cf5e5a0a05dc86",
+      certificate_bytes (fun () ->
+          Firing_ring.certify ~device:firing ~fire_round
+            ~horizon:(fire_round + 2) ()) );
+    ( "certificate firing-ring copies 6",
+      "818f1aa63ec595b345e7be4b790404a9",
+      certificate_bytes (fun () ->
+          Firing_ring.certify ~device:firing ~fire_round ~copies:6
+            ~horizon:(fire_round + 2) ()) );
+    ( "certificate approx simple 5 rounds",
+      "0663639f3769c53bdf362377e8919995",
+      certificate_bytes (fun () ->
+          Approx_chain.certify_simple
+            ~device:(fun w -> Approx.device ~n:3 ~f:1 ~me:w ~rounds:5)
+            ~horizon:(Approx.decision_round ~rounds:5 + 1)
+            ()) );
+    ( "certificate approx edg eps=1/16 gamma=0",
+      "ebae5edde5503facd26df0b1d64e2ab8",
+      certificate_bytes (fun () ->
+          Approx_chain.certify_edg
+            ~device:(fun w -> Approx.device ~n:3 ~f:1 ~me:w ~rounds:4)
+            ~eps:(1.0 /. 16.0) ~gamma:0.0 ~delta:1.0
+            ~horizon:(Approx.decision_round ~rounds:4 + 1)
+            ()) );
+    ( "certificate approx edg eps=0.1 gamma=0.5",
+      "e8edfc6d08cff333be4cd57d9f40f59f",
+      certificate_bytes (fun () ->
+          let eps = 0.1 and delta = 1.0 in
+          Approx_chain.certify_edg
+            ~device:(fun w -> Approx.edg_device ~n:3 ~f:1 ~me:w ~eps ~delta)
+            ~eps ~gamma:0.5 ~delta
+            ~horizon:
+              (Approx.decision_round ~rounds:(Approx.rounds_for ~eps ~delta)
+              + 1)
+            ()) );
+  ]
 
 (* Two golden cases as constructors, so the cross-domain check below can
    build its own systems (devices carry a parse cache) in each domain. *)
@@ -298,7 +433,7 @@ let () =
       check
         (Printf.sprintf "%s: digest %s, committed %s" label got expected)
         (got = expected))
-    golden;
+    (golden @ certificate_golden);
   allocation_budget ();
   relay_allocation ();
   cross_domain ();
@@ -310,4 +445,4 @@ let () =
     (Printf.sprintf
        "perf-smoke ok: %d golden digests + allocation budgets + cross-domain \
         digests"
-       (List.length golden))
+       (List.length golden + List.length certificate_golden))

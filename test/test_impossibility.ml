@@ -261,6 +261,43 @@ let validate_detects_tampering () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "tampered verdict must not validate"
 
+(* [validate] re-derives each locality witness from the traces: a run that
+   carries another run's trace no longer matches its covering scenario. *)
+let validate_detects_swapped_trace () =
+  let cert =
+    Ba_nodes.certify
+      ~device:(eig_devices ~n:3 ~f:1)
+      ~v0:(Value.bool false) ~v1:(Value.bool true)
+      ~horizon:(Eig.decision_round ~f:1 + 1)
+      ~f:1 (Topology.complete 3)
+  in
+  let e1_trace =
+    match cert.Certificate.runs with
+    | (e1, _) :: _ -> e1.Reconstruct.trace
+    | [] -> Alcotest.fail "no runs"
+  in
+  let runs =
+    List.map
+      (fun ((r : Reconstruct.t), violations) ->
+        if r.label = "E2" then { r with trace = e1_trace }, violations
+        else r, violations)
+      cert.Certificate.runs
+  in
+  match Certificate.validate { cert with Certificate.runs } with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "E2 holding E1's trace must not validate"
+
+(* A ring edge's scenario places exactly its two endpoints' targets, each
+   at its own copy. *)
+let edge_scenario_places_endpoints () =
+  let covering = Covering.triangle_ring ~copies:2 in
+  (* Source 2 is node 2 of copy 0; source 3 is node 0 of copy 1. *)
+  let chi = Certificate.edge_scenario covering 2 3 in
+  check
+    Alcotest.(list (option int))
+    "chi over K3" [ Some 1; None; Some 0 ]
+    (List.map chi [ 0; 1; 2 ])
+
 (* Property: Theorem 1 holds for every Boolean input pair fed to the pinning
    runs, and with the roles of 0/1 swapped. *)
 let prop_triangle_any_pinning =
@@ -300,5 +337,9 @@ let suite =
       Alcotest.test_case "reconstruct rejects bad chi" `Quick
         reconstruct_rejects_inconsistent_chi;
       Alcotest.test_case "validate detects tampering" `Quick validate_detects_tampering;
+      Alcotest.test_case "validate detects a swapped run trace" `Quick
+        validate_detects_swapped_trace;
+      Alcotest.test_case "edge scenario places its endpoints" `Quick
+        edge_scenario_places_endpoints;
       QCheck_alcotest.to_alcotest prop_triangle_any_pinning;
     ] )
