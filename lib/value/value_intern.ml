@@ -56,7 +56,8 @@ let hash v = fold_hash 0x1505 v
 let small_limit = 64
 
 (* Remaining budget after traversing [v]; positive iff [v] has fewer than
-   [limit] constructors.  The traversal itself is cut off at the bound. *)
+   [limit] constructors.  The traversal itself is cut off at the bound,
+   list tails included. *)
 let rec budget_after limit v =
   if limit <= 0 then 0
   else
@@ -65,8 +66,12 @@ let rec budget_after limit v =
     | Value.String _ ->
       limit - 1
     | Value.Pair (a, b) -> budget_after (budget_after (limit - 1) a) b
-    | Value.List vs -> List.fold_left budget_after (limit - 1) vs
+    | Value.List vs -> budget_list (limit - 1) vs
     | Value.Tag (_, p) -> budget_after (limit - 1) p
+
+and budget_list limit = function
+  | v :: vs when limit > 0 -> budget_list (budget_after limit v) vs
+  | _ -> limit
 
 let is_small v = budget_after small_limit v > 0
 

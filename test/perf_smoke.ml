@@ -23,6 +23,9 @@
      minor-word ceiling, which guards the EIG relay's shared label tables.
    - cross-domain determinism: two fresh domains run two of the golden
      cases concurrently, and each must reproduce the committed digests.
+   - the relay's parse cache: EIG and rooted-broadcast cases, some with
+     faulty senders sharing one physical message, run alone, interleaved
+     and nested on one domain; each must reproduce its committed digest.
 
    Deterministic: fixed systems, fixed seeds, and the executor itself is
    deterministic, so the digests are stable from one process to the next.
@@ -426,6 +429,116 @@ let cross_domain () =
         results)
     (List.map Domain.join (List.init 2 (fun _ -> Domain.spawn digests)))
 
+(* --- the relay's parse cache ----------------------------------------------- *)
+
+(* One physical message, which every faulty node of the echo cases below
+   sends on every port in every round.  Small values dedup in the arena,
+   so each receiver gets this very value from both faulty senders; its
+   claims parse differently per sender, level, root and n, and the relay's
+   parse cache keys on all four. *)
+let shared_message =
+  Value.of_assoc
+    (List.map
+       (fun (label, v) -> Eig_tree.label_key label, v)
+       [ [], Value.bool true; [ 0 ], Value.bool false; [ 3 ], Value.int 3;
+         [ 0; 2 ], Value.bool true; [ 0; 6 ], Value.bool false;
+         [ 4; 1 ], Value.bool true ])
+
+let with_echo ~n ~rounds faulty sys =
+  List.fold_left
+    (fun sys u ->
+      System.substitute sys u
+        (Device.replay ~name:"echo"
+           ~sends:(Array.make_matrix (n - 1) rounds (Some shared_message))))
+    sys faulty
+
+let broadcast_sys n f =
+  Broadcast.system (Topology.complete n) ~f ~general:0 ~value:(Value.bool true)
+    ~default:bool_default
+
+let eig_echo n f ~rounds faulty =
+  trace_bytes (with_echo ~n ~rounds faulty (eig_sys n f)) ~rounds
+
+let k7_broadcast_echo () =
+  let rounds = Broadcast.decision_round ~f:2 + 1 in
+  ( "trace broadcast K7 f=2 echo at {3,5}", "deb95b8d58396292ac6f6d6f9c87970d",
+    trace_bytes (with_echo ~n:7 ~rounds [ 3; 5 ] (broadcast_sys 7 2)) ~rounds )
+
+let k7_eig_echo () =
+  ( "trace eig K7 f=2 echo at {3,5}", "c14a5a48a1d1985777d6ac3fcb04e5c4",
+    eig_echo 7 2 ~rounds:(Eig.decision_round ~f:2 + 1) [ 3; 5 ] )
+
+(* Constructors, so each domain builds its own systems.  The first three
+   digests are golden ones above; the echo digests were computed at commit
+   7d0f68a, before the relay cached parses. *)
+let cache_cases =
+  [ (fun () ->
+      ( "trace eig K7 f=2", "9cb4ffefbd83d3eeff69b31f7d040692",
+        trace_bytes (eig_sys 7 2) ~rounds:(Eig.decision_round ~f:2 + 1) ));
+    k7_broadcast;
+    (fun () ->
+      ( "trace eig K5 f=1 long horizon", "34b2f3e7d53b7eccbb2591d3e614410c",
+        trace_bytes (eig_sys 5 1) ~rounds:6 ));
+    k7_eig_echo;
+    k7_broadcast_echo;
+    (fun () ->
+      ( "trace eig K5 f=1 echo at {1,3}", "abb9a668943ae597d026c238a2dadb04",
+        eig_echo 5 1 ~rounds:6 [ 1; 3 ] ));
+  ]
+
+let digest_of case =
+  let label, expected, bytes = case () in
+  label, expected, Digest.to_hex (Digest.string (bytes ()))
+
+(* Runs the broadcast echo case inside every step of node 6 of the EIG
+   echo case, before the node's own relay.  At round 3 both relay level 2
+   on K7 and both receive [shared_message] from senders 3 and 5, so the
+   only key field telling the inner parses from the outer is the root. *)
+let nested () =
+  let rounds = Eig.decision_round ~f:2 + 1 in
+  let inner = ref [] in
+  let sys = with_echo ~n:7 ~rounds [ 3; 5 ] (eig_sys 7 2) in
+  let honest = System.device sys 6 in
+  let step ~state ~round ~inbox =
+    inner := digest_of k7_broadcast_echo :: !inner;
+    honest.Device.step ~state ~round ~inbox
+  in
+  let sys = System.substitute sys 6 { honest with Device.step } in
+  let label, expected, _ = k7_eig_echo () in
+  ( ( label ^ ", broadcast nested at node 6", expected,
+      Digest.to_hex (Digest.string (trace_bytes sys ~rounds ())) ),
+    !inner )
+
+(* Each case alone on a fresh domain, then all of them interleaved on one
+   other fresh domain, where every run meets the parses the runs before it
+   left behind, and [nested] on a third.  Every digest must agree with the
+   committed one. *)
+let parse_cache () =
+  let fresh f = Domain.join (Domain.spawn f) in
+  let alone =
+    List.map (fun case -> fresh (fun () -> digest_of case)) cache_cases
+  in
+  let order = [ 0; 3; 1; 4; 2; 5; 4; 0; 5; 1; 3; 2 ] in
+  let interleaved =
+    fresh (fun () ->
+        List.map (fun i -> i, digest_of (List.nth cache_cases i)) order)
+  in
+  let outer, inner = fresh nested in
+  List.iter
+    (fun (label, expected, got) ->
+      check
+        (Printf.sprintf "%s: digest %s, committed %s" label got expected)
+        (got = expected))
+    (alone @ (outer :: inner));
+  List.iteri
+    (fun step (i, (label, _, got)) ->
+      let _, _, solo = List.nth alone i in
+      check
+        (Printf.sprintf "%s interleaved (step %d): digest %s, alone %s" label
+           step got solo)
+        (got = solo))
+    interleaved
+
 let () =
   List.iter
     (fun (label, expected, bytes) ->
@@ -437,6 +550,7 @@ let () =
   allocation_budget ();
   relay_allocation ();
   cross_domain ();
+  parse_cache ();
   if !failures > 0 then begin
     Printf.eprintf "perf-smoke: %d failure(s)\n" !failures;
     exit 1
@@ -444,5 +558,5 @@ let () =
   print_endline
     (Printf.sprintf
        "perf-smoke ok: %d golden digests + allocation budgets + cross-domain \
-        digests"
+        digests + parse-cache interleaving"
        (List.length golden + List.length certificate_golden))

@@ -228,13 +228,25 @@ let rec all_labels ~n len =
           (List.init n Fun.id))
       (all_labels ~n (len - 1))
 
+(* The two value palettes: all-boolean trees take [resolve]'s int-vote
+   path, mixed ones the general path. *)
+let palettes =
+  [ [ Value.bool true; Value.bool false ];
+    [ Value.bool true; Value.bool false; Value.int 3;
+      Value.pair (Value.int 1) (Value.string "v") ] ]
+
+(* Every default [resolve] is checked under: the two booleans take the
+   int-vote path when the tree allows it, [unit] never does. *)
+let defaults = [ Value.bool false; Value.bool true; Value.unit ]
+
 (* A random valid label set: n <= 8, labels of length <= 3, values from a
-   three-value palette so majorities are contested.  Dense cases keep most
-   labels of a full tree; sparse ones draw a few labels, duplicates
-   included (the same label claimed twice with different values). *)
+   boolean or a mixed palette so majorities are contested.  Dense cases
+   keep most labels of a full tree; sparse ones draw a few labels,
+   duplicates included (the same label claimed twice with different
+   values). *)
 let tree_case_gen =
   let open QCheck.Gen in
-  let palette = [ Value.bool true; Value.bool false; Value.int 3 ] in
+  oneofl palettes >>= fun palette ->
   int_range 1 8 >>= fun n ->
   int_range 0 (min 3 n) >>= fun depth ->
   let label =
@@ -300,11 +312,12 @@ let prop_tree_round_trip =
       Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n v)) v
       && Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n raw)) v)
 
+(* [f] runs past the tree's depth, so leaf levels go missing, and up to
+   n at n <= 3, so f+1 = n and f+1 > n both occur. *)
 let prop_tree_queries =
   QCheck.Test.make ~name:"Eig_tree find/level/resolve match the reference"
     ~count:200 tree_case (fun (n, depth, claims) ->
       let t = build n claims and entries = reference claims in
-      let default = Value.bool false in
       let table = Hashtbl.create 64 in
       List.iter (fun (l, v) -> Hashtbl.replace table l v) entries;
       List.for_all
@@ -317,14 +330,17 @@ let prop_tree_queries =
                  (List.filter (fun (l, _) -> List.length l = len) entries))
            (List.init (depth + 2) Fun.id)
       && List.for_all
-           (fun f ->
+           (fun default ->
              List.for_all
-               (fun (root, _) ->
-                 Value.equal
-                   (Eig_tree.resolve ~f ~default t root)
-                   (ref_resolve ~n ~f ~default (Hashtbl.find_opt table) root))
-               (([], Value.unit) :: List.filteri (fun i _ -> i < 4) claims))
-           (List.init (depth + 1) Fun.id))
+               (fun f ->
+                 List.for_all
+                   (fun (root, _) ->
+                     Value.equal
+                       (Eig_tree.resolve ~f ~default t root)
+                       (ref_resolve ~n ~f ~default (Hashtbl.find_opt table) root))
+                   (([], Value.unit) :: List.filteri (fun i _ -> i < 4) claims))
+               (List.init (depth + 1) Fun.id))
+           defaults)
 
 let prop_majority =
   let votes =
@@ -393,17 +409,15 @@ let memo_budget () =
 
 (* Ragged trees for [resolve]: each slot of a depth-(f+1) tree is absent
    with probability 1/4, and the palette is either two booleans (even
-   sibling counts tie) or mixes in non-boolean values. *)
+   sibling counts tie) or mixes in non-boolean values.  One tree in four
+   stops at depth f, so its leaf level is missing. *)
 let resolve_case =
   let gen =
     let open QCheck.Gen in
     int_range 1 7 >>= fun n ->
     int_range 0 (min 2 (n - 1)) >>= fun f ->
-    oneofl
-      [ [ Value.bool true; Value.bool false ];
-        [ Value.bool true; Value.bool false; Value.int 3;
-          Value.pair (Value.int 1) (Value.string "v") ] ]
-    >>= fun palette ->
+    oneofl palettes >>= fun palette ->
+    frequency [ 3, return (f + 2); 1, return (f + 1) ] >>= fun levels ->
     flatten_l
       (List.concat_map
          (fun len ->
@@ -412,7 +426,7 @@ let resolve_case =
                pair (int_bound 3) (oneofl palette) >|= fun (keep, v) ->
                if keep = 0 then None else Some (l, v))
              (all_labels ~n len))
-         (List.init (f + 2) Fun.id))
+         (List.init levels Fun.id))
     >|= fun claims -> n, f, List.filter_map Fun.id claims
   in
   QCheck.make
@@ -420,17 +434,61 @@ let resolve_case =
       Printf.sprintf "f=%d %s" f (print_case (n, f + 1, claims)))
     gen
 
+(* Every label of length at most [len]. *)
+let labels_upto ~n len =
+  List.concat_map (fun len -> all_labels ~n len) (List.init (len + 1) Fun.id)
+
 let prop_resolve =
   QCheck.Test.make ~name:"Eig_tree.resolve matches the reference on ragged trees"
     ~count:300 resolve_case (fun (n, f, claims) ->
       let t = build n claims in
-      let default = Value.unit in
       List.for_all
-        (fun root ->
-          Value.equal
-            (Eig_tree.resolve ~f ~default t root)
-            (ref_resolve ~n ~f ~default (fun l -> List.assoc_opt l claims) root))
-        (List.concat_map (fun len -> all_labels ~n len) (List.init (f + 1) Fun.id)))
+        (fun default ->
+          List.for_all
+            (fun root ->
+              Value.equal
+                (Eig_tree.resolve ~f ~default t root)
+                (ref_resolve ~n ~f ~default (fun l -> List.assoc_opt l claims)
+                   root))
+            (labels_upto ~n f))
+        defaults)
+
+(* The edge shapes of the int-vote path, every root, every default: full
+   boolean trees with f+1 = n (the deepest leaf level there is), one with
+   f+1 > n, a tree with no leaf level, and two non-boolean leaves that
+   outvote their sibling and send the whole vote down the general path. *)
+let resolve_edges () =
+  let full n depth v =
+    List.concat_map
+      (fun len -> List.mapi (fun i l -> l, v i) (all_labels ~n len))
+      (List.init (depth + 1) Fun.id)
+  in
+  let alternating i = Value.bool (i mod 3 = 0) in
+  List.iter
+    (fun (what, n, f, claims) ->
+      let t = build n claims in
+      List.iter
+        (fun default ->
+          List.iter
+            (fun root ->
+              check tbool
+                (Printf.sprintf "%s, default %s, root %s" what
+                   (Value.to_string default)
+                   (String.concat "." (List.map string_of_int root)))
+                true
+                (Value.equal
+                   (Eig_tree.resolve ~f ~default t root)
+                   (ref_resolve ~n ~f ~default
+                      (fun l -> List.assoc_opt l claims) root)))
+            (labels_upto ~n (min n f)))
+        defaults)
+    [ "n=1 f=0", 1, 0, full 1 1 alternating;
+      "n=2 f=1", 2, 1, full 2 2 alternating;
+      "n=3 f=2", 3, 2, full 3 3 alternating;
+      "n=2 f=2", 2, 2, full 2 2 alternating;
+      "n=4 f=1, no leaf level", 4, 1, full 4 1 alternating;
+      "n=4 f=1, two int leaves", 4, 1,
+      full 4 2 (fun i -> if i = 3 || i = 4 then Value.int 3 else alternating i) ]
 
 let prop_tree_rejects =
   let bad =
@@ -478,4 +536,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_every_slot;
       Alcotest.test_case "label tables past the memo budget" `Quick memo_budget;
       QCheck_alcotest.to_alcotest prop_resolve;
+      Alcotest.test_case "resolve edge shapes" `Quick resolve_edges;
     ] )
