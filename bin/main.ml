@@ -383,6 +383,15 @@ let certify_cmd =
       | Error e ->
         finish eng metrics;
         fail_error e)
+    | None when n <> 3 || f <> 1 ->
+      (* The problems below are certified on the triangle only. *)
+      fail_error
+        (Flm_error.Invalid_input
+           {
+             what = problem ^ " certificate";
+             detail =
+               Printf.sprintf "only n=3, f=1 is supported, got n=%d, f=%d" n f;
+           })
     | None ->
     let eng = Engine.create ~jobs ~config () in
     let print_cert cert =
@@ -449,7 +458,14 @@ let certify_cmd =
       & info [] ~docv:"PROBLEM"
           ~doc:"ba | ba-collapse | ba-conn | weak | firing | approx | edg | clock.")
   in
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Nodes (ba, ba-conn).") in
+  let n =
+    Arg.(
+      value & opt int 3
+      & info [ "n" ]
+          ~doc:
+            "Nodes.  Problems other than ba, ba-collapse and ba-conn take only \
+             the triangle: n=3 with f=1.")
+  in
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Print the whole certificate.") in
   Cmd.v
     (Cmd.info "certify"

@@ -113,10 +113,9 @@ let allow_listed =
     ( "lib/system",
       Lint_rule.Locality_domain,
       "the flat execution core keeps per-domain scratch (Domain.DLS inbox \
-       buffers over Bigarray arenas) and one \
-       atomic run counter; these are deterministic caches owned by the \
-       executor — devices never see them, and the remaining Locality rules \
-       bind lib/system in full" );
+       buffers reused across runs) and one atomic run counter; these are \
+       deterministic caches owned by the executor — devices never see them, \
+       and the remaining Locality rules bind lib/system in full" );
     ( "lib/graph",
       Lint_rule.Hygiene_untyped_raise,
       "graph constructors document Invalid_argument as their precondition \

@@ -335,12 +335,12 @@ let rec parse_into ~n ~r ~root ~labels j cells entries i = function
     parse_into ~n ~r ~root ~labels j cells entries (i + 1) claims
   | [] -> ()
 
-(* The parse of [msg] (the list [claims]) from sender [j].  The arena hands
-   every receiver of one send the same physical message, so all but the
-   first receiver find it in [memo.parsed.(j)].  A hit returns arrays
-   equal to what parsing again would build, so the cache is invisible to
-   the device: its step stays a function of its state and inbox, and
-   Locality holds. *)
+(* The parse of [msg] (the list [claims]) from sender [j].  A relay puts
+   one physical message on all its ports and the arena delivers it as is,
+   so all but the first receiver find it in [memo.parsed.(j)].  A hit
+   returns arrays equal to what parsing again would build, so the cache is
+   invisible to the device: its step stays a function of its state and
+   inbox, and Locality holds. *)
 let parsed memo ~n ~r ~root ~labels j msg claims =
   if j >= Array.length memo.parsed then begin
     let grown = Array.make (j + 1) no_parse in
@@ -411,13 +411,10 @@ let relay_device ~name ~n ~f ~me ~default ~init ~root =
   let arity = n - 1 in
   (* Two-slot parse cache keyed on physical equality.  It hits when the
      state a device receives is physically one it just packed: the arena
-     hands back the first value it stored under the state's intern id, and
+     hands each step back the very state its device returned, and
      [Adversary.split_brain] steps one device over two alternating
-     sub-states.  That holds for large states only.  The arena dedups small
-     values structurally, so a state whose tree has fewer than ~20 entries
-     can come back as another node's equal state, and misses; on a cold
-     n<=12 f<=2 sweep about half of all steps (8,845 of 17,376) miss that
-     way.  A miss (that, a third sub-state, a foreign state) re-parses, so
+     sub-states.  On a cold n<=12 f<=2 sweep no step misses (0 of
+     17,376).  A miss (a third sub-state, a foreign state) re-parses, so
      the cache changes no observable behaviour. *)
   let recent = ref None and older = ref None in
   let tree_of state tree_v =

@@ -5,10 +5,11 @@ let runs_started = Atomic.make 0
 
 let total_runs () = Atomic.get runs_started
 
-(* States and sends land in a per-execution arena as intern ids, and the
-   inbox rows are per-domain scratch reused across runs.  Devices still
-   exchange ordinary values — interning happens at the arena boundary, and
-   the intern table hands back the first structurally-equal value it saw. *)
+(* States and sends land in a per-execution arena, and the inbox rows are
+   per-domain scratch reused across runs.  The arena stores the values
+   themselves, so each step gets back the very state its device returned
+   last round, and each receiver the very message recorded for the send
+   (in a signed run, the sanitized one). *)
 let run ?(signed = false) ?(delay = 1) sys ~rounds =
   if rounds < 0 then invalid_arg "Exec.run: negative horizon";
   if delay < 1 then invalid_arg "Exec.run: delay >= 1 required";

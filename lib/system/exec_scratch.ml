@@ -4,8 +4,9 @@
    cached in domain-local storage keyed by the system's arity profile and
    handed out for the duration of one run.
 
-   Safety: devices read the inbox during [step] and never retain it (their
-   state is an immutable value), every slot is refilled each round before
+   Safety: devices read the inbox during [step] and never retain the array
+   (they may keep a message, as the EIG parse cache does, but messages are
+   immutable values the run's arena holds too), every slot is refilled each round before
    any device reads it, and the buffers are domain-local — two domains
    never share a row.  [with_inboxes] marks the cache in-use for its
    extent, so a nested or re-entrant execution on the same domain falls

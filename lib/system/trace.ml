@@ -1,6 +1,6 @@
-(* A trace reads a filled execution {!Arena}.  Because the arena interns on
-   structural equality, decoded values are the very values the devices
-   produced — the property the certificate machinery and the store's
+(* A trace reads a filled execution {!Arena}.  The arena keeps the very
+   values the devices produced, so every reader sees exactly what the run
+   recorded — the property the certificate machinery and the store's
    byte-identity guarantees lean on.
 
    Each node's (decision, decision round) is memoized: locating a decision

@@ -43,7 +43,7 @@ val pp : Format.formatter -> t -> unit
 (** {1 Statistics} *)
 
 val message_count : t -> int
-(** Total messages sent (non-silent port-round slots); a bitset popcount. *)
+(** Total messages sent (non-silent port-round slots). *)
 
 val message_volume : t -> int
 (** Total size of all messages, in abstract value units: one unit per

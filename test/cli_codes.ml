@@ -58,13 +58,17 @@ let () =
     [ "certify"; "ba"; "-n"; "4"; "--f"; "1" ];
   expect "Invalid_input: chaos f=0" 10
     [ "chaos"; "-g"; "complete:4"; "--f"; "0"; "--trials"; "1" ];
+  (* ... and a size the triangle-only problems cannot certify. *)
+  expect "Invalid_input: weak n=7 f=2" 10
+    [ "certify"; "weak"; "-n"; "7"; "--f"; "2" ];
   (* Job_failed (11): the poison strategy raises mid-step. *)
   expect "Job_failed: poison chaos" 11
     [ "chaos"; "-g"; "complete:4"; "--f"; "1"; "--strategy"; "poison";
       "--trials"; "2" ];
-  (* Job_timeout (12): a 1 ms deadline on a real certificate. *)
+  (* Job_timeout (12): a 1 ms deadline on a certificate that takes tens of
+     milliseconds (K6 f=2 can finish within 1 ms). *)
   expect "Job_timeout: 1ms deadline" 12
-    [ "certify"; "ba"; "-n"; "6"; "--f"; "2"; "--timeout-ms"; "1" ];
+    [ "certify"; "ba"; "-n"; "9"; "--f"; "3"; "--timeout-ms"; "1" ];
   (* Store_corrupt (15): verify over a deliberately damaged journal. *)
   let dir =
     Filename.concat

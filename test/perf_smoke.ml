@@ -17,6 +17,9 @@
      boxed answer.  [certificate_golden] pins every certificate
      construction whole (its printout and all its traces); those digests
      came from commit 2b93e41.
+   - the grid digest: one MD5 over the digests of every trace the default
+     n<=12 f<=2 sweep computes, zoo runs and certificates alike, computed
+     at commit 67f5ee0.
    - allocation budget: the executor must not allocate meaningfully more
      than the boxed path did, and a fixed workload must stay under an
      absolute per-run byte ceiling.  A warm eig K12 f=2 run has its own
@@ -39,19 +42,20 @@ let check what ok =
     Printf.eprintf "perf-smoke FAILED: %s\n" what
   end
 
-(* A full textual dump of everything a trace can answer. *)
-let dump t =
+(* A full textual dump of everything a trace can answer, printing each
+   state and message with [pp]. *)
+let dump ?(pp = Value.pp) t =
   let buf = Buffer.create 4096 in
   let g = System.graph (Trace.system t) in
   let n = Graph.n g in
   Buffer.add_string buf (Format.asprintf "%a@." Trace.pp t);
   for u = 0 to n - 1 do
     Array.iter
-      (fun v -> Buffer.add_string buf (Format.asprintf "%a;" Value.pp v))
+      (fun v -> Buffer.add_string buf (Format.asprintf "%a;" pp v))
       (Trace.node_behavior t u);
     Buffer.add_string buf
       (Format.asprintf "decision %a at %s@."
-         (Format.pp_print_option Value.pp)
+         (Format.pp_print_option pp)
          (Trace.decision t u)
          (match Trace.decision_round t u with
          | Some r -> string_of_int r
@@ -61,7 +65,7 @@ let dump t =
         Array.iter
           (fun m ->
             Buffer.add_string buf
-              (Format.asprintf "%a;" (Format.pp_print_option Value.pp) m))
+              (Format.asprintf "%a;" (Format.pp_print_option pp) m))
           (Trace.edge_behavior t ~src:u ~dst:w)
     done
   done;
@@ -353,6 +357,80 @@ let golden =
         ~rounds:(Interactive.decision_round ~f:1 + 1) );
   ]
 
+(* --- the n<=12 f<=2 grid ------------------------------------------------------ *)
+
+(* Every trace the default sweep grid computes, mirroring
+   [Sweep.survives_zoo] and [Sweep.nf_cell]: on an adequate cell the full
+   dump of each of its 32 zoo runs, on an inadequate cell its certificate
+   with all its traces.  That is 15 × 32 + 5 = 485 per-trace digests, in
+   grid order, folded into one MD5. *)
+let zoo_attack ~n ~f u = function
+  | 0 -> Adversary.silent ~arity:(n - 1)
+  | 1 -> Adversary.crash ~after:1 (eig_devices ~n ~f u)
+  | 2 -> split_brain n f u
+  | _ -> babbler n u
+
+(* States and messages in their store encoding: exact, and much quicker to
+   print than [Value.pp]'s boxes on K12's large EIG trees. *)
+let encoded ppf v = Format.pp_print_string ppf (Store_codec.encode v)
+
+let zoo_traces ~n ~f =
+  let g = Topology.complete n in
+  let rounds = Eig.decision_round ~f + 1 in
+  let faulty_sets =
+    if f = 1 then [ [ 0 ]; [ n - 1 ] ]
+    else [ List.init f Fun.id; List.init f (fun i -> n - 1 - i) ]
+  in
+  List.concat_map
+    (fun pattern ->
+      let inputs =
+        Array.init n (fun u -> Value.bool (pattern land (1 lsl u) <> 0))
+      in
+      List.concat_map
+        (fun faulty ->
+          List.map
+            (fun which ->
+              let sys =
+                System.make g (fun u -> eig_devices ~n ~f u, inputs.(u))
+              in
+              let sys =
+                List.fold_left
+                  (fun acc u ->
+                    System.substitute acc u (zoo_attack ~n ~f u which))
+                  sys faulty
+              in
+              fun () -> dump ~pp:encoded (Exec.run sys ~rounds))
+            [ 0; 1; 2; 3 ])
+        faulty_sets)
+    [ 0; 1; (1 lsl n) - 1; 0b1010101 land ((1 lsl n) - 1) ]
+
+let grid_traces () =
+  List.concat_map
+    (fun (n, f) ->
+      if Connectivity.is_adequate ~f (Topology.complete n) then zoo_traces ~n ~f
+      else
+        [ certificate_bytes
+            (ba_nodes_cert ~device:(eig_devices ~n ~f)
+               ~horizon:(Eig.decision_round ~f + 1) ~f n) ])
+    (Sweep.nf_grid ~n_max:12 ~f_max:2)
+
+(* Computed by running this check on a copy of commit 67f5ee0, where the
+   arena still interned every state and message (twice, in two processes,
+   with the same result). *)
+let grid_digest = "d940bb8152280135f087ea9af222e54d"
+
+let grid () =
+  let digests =
+    List.map
+      (fun bytes -> Digest.to_hex (Digest.string (bytes ())))
+      (grid_traces ())
+  in
+  let got = Digest.to_hex (Digest.string (String.concat "\n" digests)) in
+  check
+    (Printf.sprintf "n<=12 f<=2 grid, %d traces: digest %s, committed %s"
+       (List.length digests) got grid_digest)
+    (List.length digests = 485 && got = grid_digest)
+
 (* --- the allocation budget ---------------------------------------------------- *)
 
 (* Bytes allocated per eig K5 f=1 run by the boxed executor, measured by
@@ -432,10 +510,10 @@ let cross_domain () =
 (* --- the relay's parse cache ----------------------------------------------- *)
 
 (* One physical message, which every faulty node of the echo cases below
-   sends on every port in every round.  Small values dedup in the arena,
-   so each receiver gets this very value from both faulty senders; its
-   claims parse differently per sender, level, root and n, and the relay's
-   parse cache keys on all four. *)
+   sends on every port in every round.  The arena hands receivers the very
+   values senders sent, so each receiver gets this one from both faulty
+   senders; its claims parse differently per sender, level, root and n,
+   and the relay's parse cache keys on all four. *)
 let shared_message =
   Value.of_assoc
     (List.map
@@ -547,6 +625,7 @@ let () =
         (Printf.sprintf "%s: digest %s, committed %s" label got expected)
         (got = expected))
     (golden @ certificate_golden);
+  grid ();
   allocation_budget ();
   relay_allocation ();
   cross_domain ();
@@ -557,6 +636,6 @@ let () =
   end;
   print_endline
     (Printf.sprintf
-       "perf-smoke ok: %d golden digests + allocation budgets + cross-domain \
-        digests + parse-cache interleaving"
+       "perf-smoke ok: %d golden digests + the n<=12 f<=2 grid digest + \
+        allocation budgets + cross-domain digests + parse-cache interleaving"
        (List.length golden + List.length certificate_golden))

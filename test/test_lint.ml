@@ -170,7 +170,7 @@ let campaign_scope () =
 (* (c'''') The system scope: the executor is bound by the locality family
    like the model layer — a nondeterministic executor would unsound every
    memo and resume tier — except locality/domain, allow-listed with its
-   reason: the flat core's per-domain Domain.DLS scratch arenas and its
+   reason: the flat core's per-domain Domain.DLS scratch inbox rows and its
    atomic run counter are deterministic executor machinery. *)
 let system_scope () =
   let system = "lib/system/fixture.ml" in

@@ -147,6 +147,45 @@ let crash_goes_silent () =
   check tbool "talks before crash" true (msgs.(0) <> None && msgs.(1) <> None);
   check tbool "silent after crash" true (msgs.(2) = None && msgs.(3) = None)
 
+(* The executor hands each step the very state its device returned, and
+   the trace records that object.  The two nodes' states are equal each
+   round but never shared, and small, so a store that merged equal values
+   would hand node 1 node 0's object. *)
+let states_come_back_as_returned () =
+  let rounds = 3 in
+  let returned = Array.make_matrix 2 (rounds + 1) Value.unit in
+  let fresh u r =
+    let v = Value.pair (Value.int r) (Value.list [ Value.bool true ]) in
+    returned.(u).(r) <- v;
+    v
+  in
+  let device u =
+    {
+      Device.name = "fresh";
+      arity = 1;
+      init = (fun ~input:_ -> fresh u 0);
+      step =
+        (fun ~state ~round ~inbox:_ ->
+          check tbool
+            (Printf.sprintf "node %d gets its own state at round %d" u round)
+            true
+            (state == returned.(u).(round));
+          fresh u (round + 1), [| None |]);
+      output = (fun _ -> None);
+    }
+  in
+  let sys = System.make (Topology.path 2) (fun u -> device u, Value.unit) in
+  let t = Exec.run sys ~rounds in
+  for u = 0 to 1 do
+    Array.iteri
+      (fun r state ->
+        check tbool
+          (Printf.sprintf "trace holds node %d's own state %d" u r)
+          true
+          (state == returned.(u).(r)))
+      (Trace.node_behavior t u)
+  done
+
 (* --- the axioms, executable ---------------------------------------------- *)
 
 (* Fault axiom + Locality: take a run of a covering system S; replace, in G,
@@ -315,4 +354,6 @@ let suite =
       Alcotest.test_case "scenario mismatch detected" `Quick scenario_mismatch_detected;
       QCheck_alcotest.to_alcotest prop_locality;
       QCheck_alcotest.to_alcotest prop_bounded_delay;
+      Alcotest.test_case "states come back as returned" `Quick
+        states_come_back_as_returned;
     ] )

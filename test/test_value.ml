@@ -107,68 +107,6 @@ let prop_compare_trans =
       | [ x; y; z ] -> Value.compare x y <= 0 && Value.compare y z <= 0 && Value.compare x z <= 0
       | _ -> false)
 
-(* --- the intern table's smallness probe ---------------------------------- *)
-
-let rec constructors = function
-  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Float _ | Value.String _ ->
-    1
-  | Value.Pair (a, b) -> 1 + constructors a + constructors b
-  | Value.List vs -> List.fold_left (fun acc v -> acc + constructors v) 1 vs
-  | Value.Tag (_, p) -> 1 + constructors p
-
-(* A structurally equal copy sharing no block with [v]. *)
-let rec copy = function
-  | Value.Unit -> Value.Unit
-  | Value.Bool b -> Value.Bool b
-  | Value.Int i -> Value.Int i
-  | Value.Float f -> Value.Float f
-  | Value.String s ->
-    Value.String (String.init (String.length s) (String.get s))
-  | Value.Pair (a, b) -> Value.Pair (copy a, copy b)
-  | Value.List vs -> Value.List (List.map copy vs)
-  | Value.Tag (c, p) -> Value.Tag (c, copy p)
-
-(* Whether two physically distinct, structurally equal copies of [v] get
-   one id; [value] must hand back the first stored copy either way. *)
-let dedups v =
-  let t = Value_intern.create () and v' = copy v in
-  let a = Value_intern.intern t v in
-  let b = Value_intern.intern t v' in
-  let first = Value_intern.value t b == (if a = b then v else v') in
-  if not (first && Value.equal (Value_intern.value t b) v) then
-    Alcotest.fail "Value_intern.value is not the first stored copy";
-  a = b
-
-(* Values under 64 constructors dedup structurally; at or past the bound
-   each copy gets a fresh id, however long the list the probe stops in. *)
-let intern_bound () =
-  let sized k = Value.list (List.init (k - 1) v_int) in
-  List.iter
-    (fun (k, expected) ->
-      check tbool (Printf.sprintf "%d constructors dedup" k) expected
-        (dedups (sized k)))
-    [ 63, true; 64, false; 65, false; 100_001, false ];
-  check tbool "a 63-constructor pair of lists dedups" true
-    (dedups (v_pair (sized 31) (sized 31)));
-  check tbool "a 100,000-element list under a tag does not" false
-    (dedups (Value.tag "t" (sized 100_001)));
-  (* A cyclic list has no end, so only a probe that stops at the bound
-     returns on it (an unbounded one would not terminate). *)
-  let rec ring = v_int 0 :: v_int 1 :: ring in
-  let t = Value_intern.create () in
-  check tbool "a cyclic list is large" true
-    (Value_intern.intern t (Value.List ring)
-    <> Value_intern.intern t (Value.List ring))
-
-let prop_intern_bound =
-  let values =
-    QCheck.make ~print:Value.to_string
-      QCheck.Gen.(map Value.list (list_size (int_bound 40) value_gen))
-  in
-  QCheck.Test.make
-    ~name:"Value_intern dedups exactly the values under 64 constructors"
-    ~count:300 values (fun v -> dedups v = (constructors v < 64))
-
 let suite =
   ( "value",
     [ Alcotest.test_case "accessor round-trips" `Quick roundtrip;
@@ -181,6 +119,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_compare_antisym;
       QCheck_alcotest.to_alcotest prop_equal_iff_compare;
       QCheck_alcotest.to_alcotest prop_compare_trans;
-      Alcotest.test_case "intern probe stops at the bound" `Quick intern_bound;
-      QCheck_alcotest.to_alcotest prop_intern_bound;
     ] )
