@@ -115,20 +115,23 @@ let decode_sends v =
        (Value.get_list v))
 
 (* A faulty wrapper that runs the honest device but keeps extra bookkeeping
-   state alongside it and post-processes each round's sends. *)
-let stateful ~name honest ~init_extra ~rewrite =
-  {
-    Device.name;
-    arity = honest.Device.arity;
-    init = (fun ~input -> Value.pair (honest.Device.init ~input) init_extra);
-    step =
-      (fun ~state ~round ~inbox ->
-        let hs, extra = Value.get_pair state in
-        let hs', sends = honest.Device.step ~state:hs ~round ~inbox in
-        let extra', sends' = rewrite ~extra ~round ~sends in
-        Value.pair hs' extra', sends');
-    output = (fun _ -> None);
-  }
+   state alongside it and post-processes each round's sends.  The state is
+   the pair (honest state, extra) and projects to the pair of their
+   encodings. *)
+let stateful ~name (Device.Device honest) ~init_extra ~rewrite =
+  Device.Device
+    {
+      Device.name;
+      arity = honest.arity;
+      init = (fun ~input -> honest.init ~input, init_extra);
+      step =
+        (fun ~state:(hs, extra) ~round ~inbox ->
+          let hs', sends = honest.step ~state:hs ~round ~inbox in
+          let extra', sends' = rewrite ~extra ~round ~sends in
+          (hs', extra'), sends');
+      output = (fun _ -> None);
+      project = (fun (hs, extra) -> Value.pair (honest.project hs) extra);
+    }
 
 (* --- the strategies --------------------------------------------------------- *)
 
@@ -155,8 +158,8 @@ let corrupt rng ~p honest =
       | some -> some)
 
 let duplicate rng ~p honest =
-  stateful ~name:(Printf.sprintf "dup:%g(%s)" p honest.Device.name) honest
-    ~init_extra:(encode_sends (Array.make honest.Device.arity None))
+  stateful ~name:(Printf.sprintf "dup:%g(%s)" p (Device.name honest)) honest
+    ~init_extra:(encode_sends (Array.make (Device.arity honest) None))
     ~rewrite:(fun ~extra ~round ~sends ->
       let previous = decode_sends extra in
       let sends' =
@@ -170,7 +173,7 @@ let duplicate rng ~p honest =
       encode_sends sends, sends')
 
 let delay ~d honest =
-  stateful ~name:(Printf.sprintf "delay:%d(%s)" d honest.Device.name) honest
+  stateful ~name:(Printf.sprintf "delay:%d(%s)" d (Device.name honest)) honest
     ~init_extra:(Value.list [])
     ~rewrite:(fun ~extra ~round:_ ~sends ->
       let buffered = Value.get_list extra @ [ encode_sends sends ] in
@@ -203,7 +206,7 @@ let mobile rng ~p honest =
           | Some m -> Some (Value.tag "mobile" m)))
 
 let equivocate rng honest =
-  let arity = honest.Device.arity in
+  let arity = Device.arity honest in
   Adversary.split_brain honest
     ~inputs:
       (Array.init arity (fun j ->
@@ -234,32 +237,29 @@ let replay rng ~horizon sys u =
   Adversary.from_traces ~name:(Printf.sprintf "replay@%d" u) sources
 
 let poison ~arity =
-  {
-    Device.name = "poison";
-    arity;
-    init = (fun ~input:_ -> Value.unit);
-    step =
-      (fun ~state:_ ~round:_ ~inbox:_ -> failwith "fault-injected poison step");
-    output = (fun _ -> None);
-  }
+  Device.make ~name:"poison" ~arity
+    ~init:(fun ~input:_ -> Value.unit)
+    ~step:(fun ~state:_ ~round:_ ~inbox:_ -> failwith "fault-injected poison step")
+    ~output:(fun _ -> None)
 
-let stall ~ms honest =
-  {
-    honest with
-    Device.name = Printf.sprintf "stall:%d(%s)" ms honest.Device.name;
-    step =
-      (fun ~state ~round ~inbox ->
-        let until = Unix.gettimeofday () +. (float_of_int ms /. 1000.0) in
-        while Unix.gettimeofday () < until do
-          Flm_error.Deadline.check ()
-        done;
-        honest.Device.step ~state ~round ~inbox);
-    output = (fun _ -> None);
-  }
+let stall ~ms (Device.Device honest) =
+  Device.Device
+    {
+      honest with
+      Device.name = Printf.sprintf "stall:%d(%s)" ms honest.name;
+      step =
+        (fun ~state ~round ~inbox ->
+          let until = Unix.gettimeofday () +. (float_of_int ms /. 1000.0) in
+          while Unix.gettimeofday () < until do
+            Flm_error.Deadline.check ()
+          done;
+          honest.step ~state ~round ~inbox);
+      output = (fun _ -> None);
+    }
 
 let rec install ~rng ~horizon ~strategy sys u =
   let honest = System.device sys u in
-  let arity = honest.Device.arity in
+  let arity = Device.arity honest in
   match strategy with
   | Chaos weighted ->
     let picked, rng = Fault_prng.weighted rng weighted in

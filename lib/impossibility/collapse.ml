@@ -22,29 +22,26 @@ let quotient_graph g ~parts =
   in
   Graph.make ~n:(List.length parts) edges
 
-(* State: (member states in part order, internal in-flight messages as an
-   assoc (src, dst) -> message). *)
-let pack states buffer =
-  Value.pair (Value.list states)
+(* State: (running member devices in part order, internal in-flight
+   messages as an assoc (src, dst) -> message).  It projects to the pair
+   of the members' projected states and the buffer keyed by
+   [Pair (Int src, Int dst)]. *)
+let project (members, buffer) =
+  Value.pair
+    (Value.list
+       (List.map (fun (Device.Running (d, s)) -> d.Device.project s) members))
     (Value.of_assoc
        (List.map
           (fun ((s, d), m) -> Value.pair (Value.int s) (Value.int d), m)
           buffer))
 
-let unpack state =
-  let states, buffer = Value.get_pair state in
-  ( Value.get_list states,
-    List.map
-      (fun (k, m) ->
-        let s, d = Value.get_pair k in
-        (Value.get_int s, Value.get_int d), m)
-      (Value.assoc buffer) )
-
 let member_states state = fst (Value.get_pair state) |> Value.get_list
 
 let cross_key src dst = Value.pair (Value.int src) (Value.int dst)
 
-let device sys ~parts ~part_index =
+(* [member_input input i]: member [i]'s input when the product device's
+   input is [input]. *)
+let product sys ~parts ~part_index ~member_input =
   let g = System.graph sys in
   validate_parts g parts;
   let part_of = part_of_table g parts in
@@ -58,103 +55,104 @@ let device sys ~parts ~part_index =
     fun p -> Hashtbl.find table p
   in
   let inside u = part_of.(u) = part_index in
-  let member_devices = List.map (fun u -> u, System.device sys u) members in
-  {
-    Device.name =
-      Printf.sprintf "Q{%s}"
-        (String.concat "," (List.map string_of_int members));
-    arity;
-    init =
-      (fun ~input ->
-        pack
-          (List.map
-             (fun (_, d) -> d.Device.init ~input)
-             member_devices)
-          []);
-    step =
-      (fun ~state ~round ~inbox ->
-        let states, buffer = unpack state in
-        (* Cross deliveries from the quotient inbox: (src, dst) -> msg, with
-           src in the claimed neighbor part and (src, dst) a real edge. *)
-        let cross = Hashtbl.create 16 in
-        List.iteri
-          (fun j m ->
-            let from_part = List.nth neighbor_parts j in
-            match m with
-            | None -> ()
-            | Some bundle -> (
-              match Value.assoc bundle with
-              | exception Value.Type_error _ -> ()
-              | pairs ->
-                List.iter
-                  (fun (k, msg) ->
-                    match Value.get_pair k with
-                    | exception Value.Type_error _ -> ()
-                    | s, d -> (
-                      match Value.get_int_opt s, Value.get_int_opt d with
-                      | Some s, Some d
-                        when Graph.is_node g s && Graph.is_node g d
-                             && part_of.(s) = from_part && inside d
-                             && Graph.mem_edge g s d
-                             && not (Hashtbl.mem cross (s, d)) ->
-                        Hashtbl.add cross (s, d) msg
-                      | _, _ -> ()))
-                  pairs))
-          (Array.to_list inbox);
-        (* Step every member with its reconstructed inbox. *)
-        let out_bundles = Array.make arity [] in
-        let new_buffer = ref [] in
-        let states' =
-          List.map2
-            (fun (u, d) member_state ->
-              let wiring = System.wiring sys u in
-              let member_inbox =
-                Array.map
-                  (fun v ->
-                    if inside v then List.assoc_opt (v, u) buffer
-                    else Hashtbl.find_opt cross (v, u))
-                  wiring
-              in
-              let member_state', sends =
-                Device.step_checked d ~state:member_state ~round
-                  ~inbox:member_inbox
-              in
-              Array.iteri
-                (fun j msg ->
-                  match msg with
-                  | None -> ()
-                  | Some msg ->
-                    let v = wiring.(j) in
-                    if inside v then new_buffer := ((u, v), msg) :: !new_buffer
-                    else begin
-                      let port = quotient_port part_of.(v) in
-                      out_bundles.(port) <-
-                        (cross_key u v, msg) :: out_bundles.(port)
-                    end)
-                sends;
-              member_state')
-            member_devices states
-        in
-        let sends =
-          Array.map
-            (fun entries ->
-              if entries = [] then None
-              else Some (Value.of_assoc (List.rev entries)))
-            out_bundles
-        in
-        pack states' (List.rev !new_buffer), sends);
-    output =
-      (fun state ->
-        let states, _ = unpack state in
-        let decisions =
-          List.map2
-            (fun (_, d) s -> d.Device.output s)
-            member_devices states
-        in
-        if List.for_all Option.is_some decisions then
-          Some (Value.list (List.map Option.get decisions))
-        else None);
-  }
+  Device.Device
+    {
+      Device.name =
+        Printf.sprintf "Q{%s}"
+          (String.concat "," (List.map string_of_int members));
+      arity;
+      init =
+        (fun ~input ->
+          ( List.mapi
+              (fun i u ->
+                let (Device.Device d) = System.device sys u in
+                Device.Running (d, d.init ~input:(member_input input i)))
+              members,
+            [] ));
+      step =
+        (fun ~state:(states, buffer) ~round ~inbox ->
+          (* Cross deliveries from the quotient inbox: (src, dst) -> msg, with
+             src in the claimed neighbor part and (src, dst) a real edge. *)
+          let cross = Hashtbl.create 16 in
+          List.iteri
+            (fun j m ->
+              let from_part = List.nth neighbor_parts j in
+              match m with
+              | None -> ()
+              | Some bundle -> (
+                match Value.assoc bundle with
+                | exception Value.Type_error _ -> ()
+                | pairs ->
+                  List.iter
+                    (fun (k, msg) ->
+                      match Value.get_pair k with
+                      | exception Value.Type_error _ -> ()
+                      | s, d -> (
+                        match Value.get_int_opt s, Value.get_int_opt d with
+                        | Some s, Some d
+                          when Graph.is_node g s && Graph.is_node g d
+                               && part_of.(s) = from_part && inside d
+                               && Graph.mem_edge g s d
+                               && not (Hashtbl.mem cross (s, d)) ->
+                          Hashtbl.add cross (s, d) msg
+                        | _, _ -> ()))
+                    pairs))
+            (Array.to_list inbox);
+          (* Step every member with its reconstructed inbox. *)
+          let out_bundles = Array.make arity [] in
+          let new_buffer = ref [] in
+          let states' =
+            List.map2
+              (fun u (Device.Running (d, member_state)) ->
+                let wiring = System.wiring sys u in
+                let member_inbox =
+                  Array.map
+                    (fun v ->
+                      if inside v then List.assoc_opt (v, u) buffer
+                      else Hashtbl.find_opt cross (v, u))
+                    wiring
+                in
+                let member_state', sends =
+                  Device.step_checked d ~state:member_state ~round
+                    ~inbox:member_inbox
+                in
+                Array.iteri
+                  (fun j msg ->
+                    match msg with
+                    | None -> ()
+                    | Some msg ->
+                      let v = wiring.(j) in
+                      if inside v then new_buffer := ((u, v), msg) :: !new_buffer
+                      else begin
+                        let port = quotient_port part_of.(v) in
+                        out_bundles.(port) <-
+                          (cross_key u v, msg) :: out_bundles.(port)
+                      end)
+                  sends;
+                Device.Running (d, member_state'))
+              members states
+          in
+          let sends =
+            Array.map
+              (fun entries ->
+                if entries = [] then None
+                else Some (Value.of_assoc (List.rev entries)))
+              out_bundles
+          in
+          (states', List.rev !new_buffer), sends);
+      output =
+        (fun (states, _) ->
+          let decisions =
+            List.map (fun (Device.Running (d, s)) -> d.Device.output s) states
+          in
+          if List.for_all Option.is_some decisions then
+            Some (Value.list (List.map Option.get decisions))
+          else None);
+      project;
+    }
+
+let device sys ~parts ~part_index =
+  product sys ~parts ~part_index ~member_input:(fun input _ -> input)
 
 let system sys ~parts =
   let g = System.graph sys in
@@ -162,19 +160,9 @@ let system sys ~parts =
   let quotient = quotient_graph g ~parts in
   System.make quotient (fun pi ->
       let members = List.nth parts pi in
-      (* Bypass input replication: hand each member its original input by
-         wrapping init. *)
-      let base = device sys ~parts ~part_index:pi in
-      let member_devices = List.map (System.device sys) members in
-      let init ~input =
-        let inputs = Value.get_list input in
-        pack
-          (List.map2
-             (fun d i -> d.Device.init ~input:i)
-             member_devices inputs)
-          []
-      in
-      ( { base with Device.init },
+      (* Bypass input replication: hand each member its original input. *)
+      ( product sys ~parts ~part_index:pi ~member_input:(fun input i ->
+            List.nth (Value.get_list input) i),
         Value.list (List.map (System.input sys) members) ))
 
 let certify_via_triangle ~device:member_device ~v0 ~v1 ~horizon ~f g =

@@ -15,16 +15,17 @@ let bool_default = Value.bool false
 let agreement_and_validity trace correct inputs =
   Ba_spec.check ~trace ~correct ~inputs = []
 
-(* The adversary zoo used on the adequate side. *)
-let attacks ~n ~f u =
-  let honest = Eig.device ~n ~f ~me:u ~default:bool_default in
-  [ Adversary.silent ~arity:(n - 1);
+(* The adversary zoo used on the adequate side, for node [u] of K_n whose
+   honest device is [honest]. *)
+let attacks ~n honest u =
+  [|
+    Adversary.silent ~arity:(n - 1);
     Adversary.crash ~after:1 honest;
     Adversary.split_brain honest
       ~inputs:(Array.init (n - 1) (fun j -> Value.bool (j mod 2 = 0)));
     Adversary.babbler ~seed:(31 * u) ~arity:(n - 1)
       ~palette:[ Value.bool true; Value.bool false; Value.int 3 ];
-  ]
+  |]
 
 let survives_zoo ?(memo = no_memo) ~n ~f () =
   let g = Topology.complete n in
@@ -36,9 +37,25 @@ let survives_zoo ?(memo = no_memo) ~n ~f () =
     else if f = 1 then [ [ 0 ]; [ n - 1 ] ]
     else [ List.init f (fun i -> i); List.init f (fun i -> n - 1 - i) ]
   in
+  (* The cell is wired once: the honest system and each faulty node's
+     attackers.  Devices are immutable values, so every run shares them;
+     a run only sets its inputs and swaps its attackers in. *)
+  let honest =
+    System.make g (fun u -> Eig.device ~n ~f ~me:u ~default:bool_default, bool_default)
+  in
+  let attackers =
+    List.map
+      (fun u -> u, attacks ~n (System.device honest u) u)
+      (List.sort_uniq Int.compare (List.concat faulty_sets))
+  in
   List.for_all
     (fun pattern ->
       let inputs = Array.init n (fun u -> Value.bool (pattern land (1 lsl u) <> 0)) in
+      let with_inputs =
+        List.fold_left
+          (fun acc u -> System.substitute_input acc u inputs.(u))
+          honest (Graph.nodes g)
+      in
       List.for_all
         (fun faulty ->
           List.for_all
@@ -56,14 +73,10 @@ let survives_zoo ?(memo = no_memo) ~n ~f () =
               in
               memo key (fun () ->
                   let sys =
-                    System.make g (fun u ->
-                        Eig.device ~n ~f ~me:u ~default:bool_default, inputs.(u))
-                  in
-                  let sys =
                     List.fold_left
                       (fun acc u ->
-                        System.substitute acc u (List.nth (attacks ~n ~f u) which))
-                      sys faulty
+                        System.substitute acc u (List.assoc u attackers).(which))
+                      with_inputs faulty
                   in
                   let trace = Exec.run sys ~rounds:horizon in
                   let correct =

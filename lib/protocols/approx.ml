@@ -35,11 +35,11 @@ let device ~n ~f ~me ~rounds =
         Some (Value.get_float (Value.untag "d" decided))
       else None )
   in
-  {
-    Device.name = Printf.sprintf "Approx[%d/%d]@%d" n f me;
-    arity;
-    init = (fun ~input -> pack 0 (Value.get_float input) None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "Approx[%d/%d]@%d" n f me)
+    ~arity
+    ~init:(fun ~input -> pack 0 (Value.get_float input) None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, est, decided = unpack state in
         if step > rounds then state, Array.make arity None
@@ -71,12 +71,11 @@ let device ~n ~f ~me ~rounds =
             else Array.make arity (Some (Value.float est))
           in
           pack (step + 1) est decided, sends
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        Option.map Value.float decided);
-  }
+        Option.map Value.float decided)
 
 let system g ~f ~rounds ~inputs =
   let n = Graph.n g in

@@ -47,11 +47,11 @@ let device ~n ~f ~me ~seed =
                   else None)
               | Some _ | None -> None))
   in
-  {
-    Device.name = Printf.sprintf "BenOr[%d/%d,s=%d]@%d" n f seed me;
-    arity;
-    init = (fun ~input -> pack 0 (Value.get_bool input) bot None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "BenOr[%d/%d,s=%d]@%d" n f seed me)
+    ~arity
+    ~init:(fun ~input -> pack 0 (Value.get_bool input) bot None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, x, prop, decided = unpack state in
         let phase = step / 2 in
@@ -101,12 +101,11 @@ let device ~n ~f ~me ~seed =
           ( pack (step + 1) x prop decided,
             Array.make arity
               (Some (Value.tag "P" (Value.pair (Value.int phase) prop))) )
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, _, decided = unpack state in
-        Option.map Value.bool decided);
-  }
+        Option.map Value.bool decided)
 
 let system g ~f ~seed ~inputs =
   let n = Graph.n g in

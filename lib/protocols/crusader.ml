@@ -18,11 +18,11 @@ let device ~n ~f ~me ~general =
       payload,
       if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None )
   in
-  {
-    Device.name = Printf.sprintf "Crusader[%d/%d,g=%d]@%d" n f general me;
-    arity;
-    init = (fun ~input -> pack 0 input None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "Crusader[%d/%d,g=%d]@%d" n f general me)
+    ~arity
+    ~init:(fun ~input -> pack 0 input None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, payload, decided = unpack state in
         match step with
@@ -69,12 +69,11 @@ let device ~n ~f ~me ~general =
             | None -> confused
           in
           pack 3 payload (Some decision), Array.make arity None
-        | _ -> state, Array.make arity None);
-    output =
+        | _ -> state, Array.make arity None)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        decided);
-  }
+        decided)
 
 let system g ~f ~general ~value =
   let n = Graph.n g in

@@ -107,16 +107,16 @@ let device g ~f ~source ~me ~default =
         (Value.assoc claims),
       if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None )
   in
-  {
-    Device.name = Printf.sprintf "Relay[f=%d,src=%d]@%d" f source me;
-    arity;
-    init =
+  Device.make
+    ~name:(Printf.sprintf "Relay[f=%d,src=%d]@%d" f source me)
+    ~arity
+    ~init:
       (fun ~input ->
         (* The source holds its value as a pseudo-claim and decides it
            outright. *)
         if me = source then pack 0 [ (source, -1), input ] (Some input)
-        else pack 0 [] None);
-    step =
+        else pack 0 [] None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, claims, decided = unpack state in
         if step > horizon then state, Array.make arity None
@@ -202,12 +202,11 @@ let device g ~f ~source ~me ~default =
               out
           in
           pack (step + 1) claims decided, sends
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        decided);
-  }
+        decided)
 
 let system g ~f ~source ~value ~default =
   System.make g (fun u ->

@@ -64,11 +64,11 @@ let device ~n ~f ~me ~default =
   let bundle items =
     if items = [] then None else Some (Value.list items)
   in
-  {
-    Device.name = Printf.sprintf "DS[%d/%d]@%d" n f me;
-    arity;
-    init = (fun ~input -> pack 0 input [ me, [ input ] ] None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "DS[%d/%d]@%d" n f me)
+    ~arity
+    ~init:(fun ~input -> pack 0 input [ me, [ input ] ] None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, input, extracted, decided = unpack state in
         if step > f + 1 then state, Array.make arity None
@@ -147,12 +147,11 @@ let device ~n ~f ~me ~default =
           in
           pack (step + 1) input extracted decided,
           Array.make arity (bundle (List.rev !relays))
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, _, decided = unpack state in
-        decided);
-  }
+        decided)
 
 let system g ~f ~inputs ~default =
   let n = Graph.n g in

@@ -144,22 +144,21 @@ let checked_rank ~what ~n label =
 let empty ~n = { n; levels = [||] }
 let get t r p = if r < Array.length t.levels then t.levels.(r).(p) else Value.Unit
 
-(* [levels] extended with empty levels up to depth [r]. *)
-let deepen ~n levels r =
-  let depth = Array.length levels in
-  if r < depth then levels
-  else
-    Array.init (r + 1) (fun i ->
-        if i < depth then levels.(i) else Array.make (level_size ~n i) Value.Unit)
-
 (* A private copy of level [r], to fill and then publish with [with_level]. *)
 let fresh_level t r =
   if r < Array.length t.levels then Array.copy t.levels.(r)
   else Array.make (level_size ~n:t.n r) Value.Unit
 
+(* [t] with [slots] as its level [r], levels between its depth and [r]
+   empty.  The levels array is built once, [slots] in place. *)
 let with_level t r slots =
-  let levels = Array.copy (deepen ~n:t.n t.levels r) in
-  levels.(r) <- slots;
+  let depth = Array.length t.levels in
+  let levels =
+    Array.init (max depth (r + 1)) (fun i ->
+        if i = r then slots
+        else if i < depth then t.levels.(i)
+        else Array.make (level_size ~n:t.n i) Value.Unit)
+  in
   { t with levels }
 
 let find t label =
@@ -178,31 +177,6 @@ let add t label v =
     slots.(p) <- entry (labels ~n:t.n ~r) p v;
     with_level t r slots
   end
-
-(* First occurrence wins, as assoc lookup on the encoding would.  The
-   levels stay private until the tree is returned, so they are filled in
-   place.  A well-formed key is ranked where it stands; any other entry
-   takes the checked decoding, which raises. *)
-(* The checked decoding raises on every entry [rank] rejects: a type
-   error, or an out-of-range or repeated id. *)
-let reject ~n entry =
-  let label = Value.get_int_list (fst (Value.get_pair entry)) in
-  ignore (checked_rank ~what:"Eig_tree.of_value" ~n label);
-  invalid_arg "Eig_tree.of_value: malformed entry"
-
-let of_value ~n v =
-  let put levels entry =
-    match entry with
-    | Value.Pair (Value.List ids, _) ->
-      let r = List.length ids in
-      let p = rank ~n ~r ids in
-      if p < 0 then reject ~n entry;
-      let levels = deepen ~n levels r in
-      if levels.(r).(p) == Value.Unit then levels.(r).(p) <- entry;
-      levels
-    | _ -> reject ~n entry
-  in
-  { n; levels = List.fold_left put [||] (Value.get_list v) }
 
 (* Pre-order — a label before its extensions, siblings in increasing id
    order, which is the sorted-assoc order — walked back to front so the
@@ -406,72 +380,54 @@ let rec avoiding ~me ~r level i acc =
     in
     avoiding ~me ~r level (i - 1) acc
 
+(* The state holds the tree itself, so a step neither parses nor encodes
+   one; [project] builds the encoded triple (step, decision, tree) only
+   when a trace reader asks.  The device keeps nothing between steps, so one device can serve
+   any number of runs, on any domains, at once. *)
+type state = { step : int; decided : Value.t option; tree : t }
+
+let project { step; decided; tree } =
+  Value.triple (Value.int step)
+    (Option.fold decided ~none:Value.unit ~some:(Value.tag "d"))
+    (to_value tree)
+
 let relay_device ~name ~n ~f ~me ~default ~init ~root =
   let senders = Array.of_list (List.filter (( <> ) me) (List.init n Fun.id)) in
   let arity = n - 1 in
-  (* Two-slot parse cache keyed on physical equality.  It hits when the
-     state a device receives is physically one it just packed: the arena
-     hands each step back the very state its device returned, and
-     [Adversary.split_brain] steps one device over two alternating
-     sub-states.  On a cold n<=12 f<=2 sweep no step misses (0 of
-     17,376).  A miss (a third sub-state, a foreign state) re-parses, so
-     the cache changes no observable behaviour. *)
-  let recent = ref None and older = ref None in
-  let tree_of state tree_v =
-    match !recent, !older with
-    | Some (s, tree), _ when s == state -> tree
-    | _, Some (s, tree) when s == state -> tree
-    | _ -> of_value ~n tree_v
-  in
-  let pack step decided tree tree_v =
-    let state = Value.triple (Value.int step) decided tree_v in
-    older := !recent;
-    recent := Some (state, tree);
-    state
-  in
-  {
-    Device.name;
-    arity;
-    init =
-      (fun ~input ->
-        let decided, seed = init input in
-        let tree = Option.fold seed ~none:(empty ~n) ~some:(add (empty ~n) []) in
-        pack 0
-          (Option.fold decided ~none:Value.unit ~some:(Value.tag "d"))
-          tree (to_value tree));
-    step =
-      (fun ~state ~round:_ ~inbox ->
-        let step, decided, tree_v = Value.get_triple state in
-        let step = Value.get_int step in
-        let tree = tree_of state tree_v in
-        let tree' =
-          if step = 0 || step > f + 1 then tree
-          else relay_round tree ~me ~step ~root ~senders inbox
-        in
-        let decided =
-          if step = f + 1 && not (Value.is_tag "d" decided) then
-            Value.tag "d" (resolve ~f ~default tree' root)
-          else decided
-        in
-        (* Broadcast the level-[step] entries whose label avoids me, in
-           label order; with nothing at the empty label, step 0 is silent. *)
-        let payload =
-          if step > f || step >= Array.length tree'.levels then []
-          else
-            let level = tree'.levels.(step) in
-            avoiding ~me ~r:step level (Array.length level - 1) []
-        in
-        let sends =
-          if step > f || (step = 0 && payload = []) then Array.make arity None
-          else Array.make arity (Some (Value.list payload))
-        in
-        (* Past step f+1 the tree is unchanged: reuse its encoding. *)
-        let tree_v = if tree' == tree then tree_v else to_value tree' in
-        pack (step + 1) decided tree' tree_v, sends);
-    output =
-      (fun state ->
-        (* Decision queries must not pay for a tree parse: the trace layer
-           scans outputs round by round when locating decisions. *)
-        let _, decided, _ = Value.get_triple state in
-        if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None);
-  }
+  Device.Device
+    {
+      Device.name;
+      arity;
+      init =
+        (fun ~input ->
+          let decided, seed = init input in
+          let tree = Option.fold seed ~none:(empty ~n) ~some:(add (empty ~n) []) in
+          { step = 0; decided; tree });
+      step =
+        (fun ~state:{ step; decided; tree } ~round:_ ~inbox ->
+          let tree =
+            if step = 0 || step > f + 1 then tree
+            else relay_round tree ~me ~step ~root ~senders inbox
+          in
+          let decided =
+            if step = f + 1 && Option.is_none decided then
+              Some (resolve ~f ~default tree root)
+            else decided
+          in
+          (* Broadcast the level-[step] entries whose label avoids me, in
+             label order; with nothing at the empty label, step 0 is
+             silent. *)
+          let payload =
+            if step > f || step >= Array.length tree.levels then []
+            else
+              let level = tree.levels.(step) in
+              avoiding ~me ~r:step level (Array.length level - 1) []
+          in
+          let sends =
+            if step > f || (step = 0 && payload = []) then Array.make arity None
+            else Array.make arity (Some (Value.list payload))
+          in
+          { step = step + 1; decided; tree }, sends);
+      output = (fun state -> state.decided);
+      project;
+    }

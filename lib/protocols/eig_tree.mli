@@ -4,9 +4,10 @@
 
     Labels are sequences of distinct node ids; the value at label
     [j1; …; jr] is "jr told me that j(r-1) told jr that … j1's value is v".
-    Trees are stored in device state as sorted [Value] assocs; in memory
-    they are one dense array per level, so absorbing, encoding and resolving
-    are index arithmetic.  The [Value] encoding is unchanged.  Every
+    A tree is one dense array per level, so absorbing, encoding and
+    resolving are index arithmetic; devices keep the tree itself, and its
+    sorted-assoc [Value] encoding ({!to_value}) is built only when a trace
+    reader projects a state.  Every
     function taking a label raises [Invalid_argument] on one with an
     out-of-range or repeated id. *)
 
@@ -16,10 +17,6 @@ val empty : n:int -> t
 (** The empty tree over node ids [0 .. n-1]. *)
 
 val label_key : Graph.node list -> Value.t
-
-val of_value : n:int -> Value.t -> t
-(** Duplicate labels in a (malformed) encoding resolve first-wins, matching
-    assoc lookup on the old list representation. *)
 
 val to_value : t -> Value.t
 (** Sorted assoc encoding, byte-identical to the historical format. *)
@@ -56,5 +53,6 @@ val relay_device :
     step 0 when the empty label is unset), and takes a claim [(sigma, v)]
     from [j] as [val(sigma . j) = v] when [sigma] is a label of the level
     just sent, without [j], and [sigma . j] extends [root].  At step [f+1]
-    an undecided device decides [resolve root].  The state is
+    an undecided device decides [resolve root].  The state is a record of
+    the step, the decision and the tree itself; it projects to the triple
     [(step, decision, tree)], the tree in its {!to_value} encoding. *)

@@ -20,11 +20,11 @@ let majority_vote ~n ~f ~me ~default =
       input,
       if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None )
   in
-  {
-    Device.name = Printf.sprintf "Majority[%d]@%d" n me;
-    arity;
-    init = (fun ~input -> pack 0 input None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "Majority[%d]@%d" n me)
+    ~arity
+    ~init:(fun ~input -> pack 0 input None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, input, decided = unpack state in
         match step with
@@ -35,12 +35,11 @@ let majority_vote ~n ~f ~me ~default =
             :: (Array.to_list inbox |> List.filter_map Fun.id)
           in
           pack 2 input (Some (majority ~default votes)), Array.make arity None
-        | _ -> state, Array.make arity None);
-    output =
+        | _ -> state, Array.make arity None)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        decided);
-  }
+        decided)
 
 let echo_once ~n ~me ~default =
   if me < 0 || me >= n then invalid_arg "Naive.echo_once";
@@ -55,11 +54,11 @@ let echo_once ~n ~me ~default =
       payload,
       if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None )
   in
-  {
-    Device.name = Printf.sprintf "Echo[%d]@%d" n me;
-    arity;
-    init = (fun ~input -> pack 0 input None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "Echo[%d]@%d" n me)
+    ~arity
+    ~init:(fun ~input -> pack 0 input None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, payload, decided = unpack state in
         match step with
@@ -92,23 +91,21 @@ let echo_once ~n ~me ~default =
             |> List.filter (fun v -> not (Value.equal v Value.unit))
           in
           pack 3 payload (Some (majority ~default votes)), Array.make arity None
-        | _ -> state, Array.make arity None);
-    output =
+        | _ -> state, Array.make arity None)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        decided);
-  }
+        decided)
 
 let repeat_own ~n ~me =
   if me < 0 || me >= n then invalid_arg "Naive.repeat_own";
   let arity = n - 1 in
-  {
-    Device.name = Printf.sprintf "Own[%d]@%d" n me;
-    arity;
-    init = (fun ~input -> input);
-    step = (fun ~state ~round:_ ~inbox:_ -> state, Array.make arity None);
-    output = (fun state -> Some state);
-  }
+  Device.make
+    ~name:(Printf.sprintf "Own[%d]@%d" n me)
+    ~arity
+    ~init:(fun ~input -> input)
+    ~step:(fun ~state ~round:_ ~inbox:_ -> state, Array.make arity None)
+    ~output:(fun state -> Some state)
 
 let flood_vote g ~me ~rounds ~default =
   let arity = Graph.degree g me in
@@ -123,11 +120,11 @@ let flood_vote g ~me ~rounds ~default =
       List.map (fun (k, v) -> Value.get_int k, v) (Value.assoc claims),
       if Value.is_tag "d" decided then Some (Value.untag "d" decided) else None )
   in
-  {
-    Device.name = Printf.sprintf "Flood@%d" me;
-    arity;
-    init = (fun ~input -> pack 0 [ me, input ] None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "Flood@%d" me)
+    ~arity
+    ~init:(fun ~input -> pack 0 [ me, input ] None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, claims, decided = unpack state in
         if step > rounds then state, Array.make arity None
@@ -172,9 +169,8 @@ let flood_vote g ~me ~rounds ~default =
             else Array.make arity (Some payload)
           in
           pack (step + 1) claims decided, sends
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, decided = unpack state in
-        decided);
-  }
+        decided)

@@ -55,9 +55,9 @@ let position_of me path =
   in
   go 0 path
 
-let device g ~f ~inner ~me =
+let device g ~f ~inner:(Device.Device inner) ~me =
   let n = Graph.n g in
-  if inner.Device.arity <> n - 1 then
+  if inner.arity <> n - 1 then
     invalid_arg "Overlay.device: inner arity must be n-1";
   let routes = all_routes g ~f in
   let phase = max_arrival routes in
@@ -102,22 +102,14 @@ let device g ~f ~inner ~me =
     | None -> []
   in
   (* State: (inner_state, claims) with claims an assoc
-     (src, idx) -> payload for the phase in flight. *)
-  let pack inner_state claims =
-    Value.pair inner_state
+     (src, idx) -> payload for the phase in flight; it projects to the
+     pair of the inner state's projection and the claims' encoding. *)
+  let project (inner_state, claims) =
+    Value.pair (inner.project inner_state)
       (Value.of_assoc
          (List.map
             (fun ((s, i), v) -> Value.pair (Value.int s) (Value.int i), v)
             claims))
-  in
-  let unpack state =
-    let inner_state, claims = Value.get_pair state in
-    ( inner_state,
-      List.map
-        (fun (k, v) ->
-          let s, i = Value.get_pair k in
-          (Value.get_int s, Value.get_int i), v)
-        (Value.assoc claims) )
   in
   let decode_inbox claims =
     Array.init (n - 1) (fun port ->
@@ -131,100 +123,98 @@ let device g ~f ~inner ~me =
         let count v = List.length (List.filter (Value.equal v) votes) in
         List.find_opt (fun v -> count v >= f + 1) distinct)
   in
-  {
-    Device.name = Printf.sprintf "Ov[%s]" inner.Device.name;
-    arity;
-    init = (fun ~input -> pack (inner.Device.init ~input) []);
-    step =
-      (fun ~state ~round ~inbox ->
-        let inner_state, claims = unpack state in
-        let offset = round mod phase in
-        let out = Array.make arity [] in
-        let push v itm = out.(port_of v) <- itm :: out.(port_of v) in
-        (* 1. Absorb and forward relay traffic.  Messages in this inbox were
-           sent at the previous round, i.e. at offset
-           (round - 1) mod phase; a position-i item is therefore expected
-           here iff i = ((round - 1) mod phase) + 1. *)
-        let claims = ref claims in
-        let expected_pos = ((round - 1 + phase) mod phase) + 1 in
-        let seen = Hashtbl.create 8 in
-        if round > 0 then
-          Array.iteri
-            (fun port m ->
-              match m with
-              | None -> ()
-              | Some bundle -> (
-                match Value.get_list bundle with
-                | exception Value.Type_error _ -> ()
-                | items ->
-                  List.iter
-                    (fun itm ->
-                      match parse_item itm with
-                      | None -> ()
-                      | Some (src, dst, idx, payload) -> (
-                        let fresh () =
-                          if Hashtbl.mem seen (src, dst, idx) then false
-                          else begin
-                            Hashtbl.add seen (src, dst, idx) ();
-                            true
-                          end
-                        in
-                        match Hashtbl.find_opt roles (src, dst, idx) with
-                        | Some (Forward (pred, next, pos))
-                          when nbrs.(port) = pred && pos = expected_pos ->
-                          if fresh () then push next (item ~src ~dst ~idx payload)
-                        | Some (Receive (pred, pos))
-                          when nbrs.(port) = pred && pos = expected_pos
-                               && dst = me
-                               && not (List.mem_assoc (src, idx) !claims) ->
-                          if fresh () then
-                            claims := ((src, idx), payload) :: !claims
-                        | Some (Forward _ | Receive _ | Send _) | None -> ()))
-                    items))
-            inbox;
-        let claims = !claims in
-        (* 2. At a phase boundary: decode last phase's claims, step the inner
-           device, emit this phase's relay traffic. *)
-        let inner_state, claims =
-          if offset = 0 then begin
-            let inner_round = round / phase in
-            let inner_inbox =
-              if inner_round = 0 then Array.make (n - 1) None
-              else decode_inbox claims
-            in
-            let inner_state, inner_sends =
-              Device.step_checked inner ~state:inner_state ~round:inner_round
-                ~inbox:inner_inbox
-            in
+  Device.Device
+    {
+      Device.name = Printf.sprintf "Ov[%s]" inner.name;
+      arity;
+      init = (fun ~input -> inner.init ~input, []);
+      step =
+        (fun ~state:(inner_state, claims) ~round ~inbox ->
+          let offset = round mod phase in
+          let out = Array.make arity [] in
+          let push v itm = out.(port_of v) <- itm :: out.(port_of v) in
+          (* 1. Absorb and forward relay traffic.  Messages in this inbox were
+             sent at the previous round, i.e. at offset
+             (round - 1) mod phase; a position-i item is therefore expected
+             here iff i = ((round - 1) mod phase) + 1. *)
+          let claims = ref claims in
+          let expected_pos = ((round - 1 + phase) mod phase) + 1 in
+          let seen = Hashtbl.create 8 in
+          if round > 0 then
             Array.iteri
-              (fun inner_port payload_opt ->
-                match payload_opt with
+              (fun port m ->
+                match m with
                 | None -> ()
-                | Some payload ->
-                  let dst = inner_id_of_port.(inner_port) in
-                  List.iteri
-                    (fun idx path ->
-                      match path with
-                      | _ :: next :: _ -> push next (item ~src:me ~dst ~idx payload)
-                      | _ -> ())
-                    (my_paths_to dst))
-              inner_sends;
-            inner_state, []
-          end
-          else inner_state, claims
-        in
-        let sends =
-          Array.map
-            (fun items ->
-              if items = [] then None else Some (Value.list (List.rev items)))
-            out
-        in
-        pack inner_state claims, sends);
-    output =
-      (fun state ->
-        let inner_state, _ = unpack state in
-        inner.Device.output inner_state);
-  }
+                | Some bundle -> (
+                  match Value.get_list bundle with
+                  | exception Value.Type_error _ -> ()
+                  | items ->
+                    List.iter
+                      (fun itm ->
+                        match parse_item itm with
+                        | None -> ()
+                        | Some (src, dst, idx, payload) -> (
+                          let fresh () =
+                            if Hashtbl.mem seen (src, dst, idx) then false
+                            else begin
+                              Hashtbl.add seen (src, dst, idx) ();
+                              true
+                            end
+                          in
+                          match Hashtbl.find_opt roles (src, dst, idx) with
+                          | Some (Forward (pred, next, pos))
+                            when nbrs.(port) = pred && pos = expected_pos ->
+                            if fresh () then push next (item ~src ~dst ~idx payload)
+                          | Some (Receive (pred, pos))
+                            when nbrs.(port) = pred && pos = expected_pos
+                                 && dst = me
+                                 && not (List.mem_assoc (src, idx) !claims) ->
+                            if fresh () then
+                              claims := ((src, idx), payload) :: !claims
+                          | Some (Forward _ | Receive _ | Send _) | None -> ()))
+                      items))
+              inbox;
+          let claims = !claims in
+          (* 2. At a phase boundary: decode last phase's claims, step the inner
+             device, emit this phase's relay traffic. *)
+          let inner_state, claims =
+            if offset = 0 then begin
+              let inner_round = round / phase in
+              let inner_inbox =
+                if inner_round = 0 then Array.make (n - 1) None
+                else decode_inbox claims
+              in
+              let inner_state, inner_sends =
+                Device.step_checked inner ~state:inner_state ~round:inner_round
+                  ~inbox:inner_inbox
+              in
+              Array.iteri
+                (fun inner_port payload_opt ->
+                  match payload_opt with
+                  | None -> ()
+                  | Some payload ->
+                    let dst = inner_id_of_port.(inner_port) in
+                    List.iteri
+                      (fun idx path ->
+                        match path with
+                        | _ :: next :: _ -> push next (item ~src:me ~dst ~idx payload)
+                        | _ -> ())
+                      (my_paths_to dst))
+                inner_sends;
+              inner_state, []
+            end
+            else inner_state, claims
+          in
+          let sends =
+            Array.map
+              (fun items ->
+                if items = [] then None else Some (Value.list (List.rev items)))
+              out
+          in
+          (inner_state, claims), sends);
+      output = (fun (inner_state, _) -> inner.output inner_state);
+      project;
+    }
 
 let eig_system g ~f ~inputs ~default =
   let n = Graph.n g in

@@ -30,11 +30,11 @@ let device ~n ~f ~me =
     | _ -> invalid_arg "Phase_king: bad state"
   in
   let last_step = 2 * (f + 1) in
-  {
-    Device.name = Printf.sprintf "King[%d/%d]@%d" n f me;
-    arity;
-    init = (fun ~input -> pack 0 (Value.get_bool input) false 0 None);
-    step =
+  Device.make
+    ~name:(Printf.sprintf "King[%d/%d]@%d" n f me)
+    ~arity
+    ~init:(fun ~input -> pack 0 (Value.get_bool input) false 0 None)
+    ~step:
       (fun ~state ~round:_ ~inbox ->
         let step, pref, maj, mult, decided = unpack state in
         if step > last_step then state, Array.make arity None
@@ -95,12 +95,11 @@ let device ~n ~f ~me =
             else Array.make arity None
           in
           pack (step + 1) pref maj mult decided, sends
-        end);
-    output =
+        end)
+    ~output:
       (fun state ->
         let _, _, _, _, decided = unpack state in
-        Option.map Value.bool decided);
-  }
+        Option.map Value.bool decided)
 
 let system g ~f ~inputs =
   let n = Graph.n g in

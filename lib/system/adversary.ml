@@ -12,20 +12,22 @@ let from_trace trace ~name ~schedule =
 
 let silent ~arity = Device.silent ~name:"faulty-silent" ~arity
 
-let crash ~after (honest : Device.t) =
-  let arity = honest.Device.arity in
-  {
-    honest with
-    Device.name = Printf.sprintf "crash@%d(%s)" after honest.Device.name;
-    step =
-      (fun ~state ~round ~inbox ->
-        if round < after then honest.Device.step ~state ~round ~inbox
-        else state, Array.make arity None);
-    output = (fun _ -> None);
-  }
+let crash ~after (Device.Device honest) =
+  let arity = honest.arity in
+  Device.Device
+    {
+      honest with
+      name = Printf.sprintf "crash@%d(%s)" after honest.name;
+      step =
+        (fun ~state ~round ~inbox ->
+          if round < after then honest.step ~state ~round ~inbox
+          else state, Array.make arity None);
+      output = (fun _ -> None);
+    }
 
-let split_brain (honest : Device.t) ~inputs =
-  let arity = honest.Device.arity in
+(* The state is one honest sub-state per variant. *)
+let split_brain (Device.Device honest) ~inputs =
+  let arity = honest.arity in
   if Array.length inputs <> arity then
     invalid_arg "Adversary.split_brain: one input per port required";
   let variants =
@@ -40,60 +42,53 @@ let split_brain (honest : Device.t) ~inputs =
         find 0)
       inputs
   in
-  {
-    Device.name = Printf.sprintf "split-brain(%s)" honest.Device.name;
-    arity;
-    init =
-      (fun ~input:_ ->
-        Value.list
-          (Array.to_list (Array.map (fun v -> honest.Device.init ~input:v) variants)));
-    step =
-      (fun ~state ~round ~inbox ->
-        let sub_states = Array.of_list (Value.get_list state) in
-        let stepped =
-          Array.map
-            (fun s -> honest.Device.step ~state:s ~round ~inbox)
-            sub_states
-        in
-        let state' = Value.list (Array.to_list (Array.map fst stepped)) in
-        let sends =
-          Array.init arity (fun j -> (snd stepped.(variant_of_port.(j))).(j))
-        in
-        state', sends);
-    output = (fun _ -> None);
-  }
+  Device.Device
+    {
+      name = Printf.sprintf "split-brain(%s)" honest.name;
+      arity;
+      init = (fun ~input:_ -> Array.map (fun v -> honest.init ~input:v) variants);
+      step =
+        (fun ~state ~round ~inbox ->
+          let stepped =
+            Array.map (fun s -> honest.step ~state:s ~round ~inbox) state
+          in
+          let sends =
+            Array.init arity (fun j -> (snd stepped.(variant_of_port.(j))).(j))
+          in
+          Array.map fst stepped, sends);
+      output = (fun _ -> None);
+      project =
+        (fun state -> Value.list (Array.to_list (Array.map honest.project state)));
+    }
 
 let babbler ~seed ~palette ~arity =
   let palette = Array.of_list palette in
   if Array.length palette = 0 then invalid_arg "Adversary.babbler: empty palette";
-  {
-    Device.name = "babbler";
-    arity;
-    init = (fun ~input:_ -> Value.unit);
-    step =
-      (fun ~state ~round ~inbox:_ ->
-        (* Deterministic pseudo-random choice per (seed, round, port): the
-           system keeps a single behavior, as the model requires. *)
-        let pick j =
-          (* flm-lint: allow locality/hashtbl-hash — hashing a triple of
-             immediate ints is structure-stable, and (seed, round, j) are
-             all explicit inputs: the babbler stays one deterministic
-             behavior per seed, exactly what the model requires *)
-          let h = Hashtbl.hash (seed, round, j) in
-          if h mod 3 = 0 then None
-          else Some palette.(h mod Array.length palette)
-        in
-        state, Array.init arity pick);
-    output = (fun _ -> None);
-  }
+  Device.make ~name:"babbler" ~arity
+    ~init:(fun ~input:_ -> Value.unit)
+    ~step:(fun ~state ~round ~inbox:_ ->
+      (* Deterministic pseudo-random choice per (seed, round, port): the
+         system keeps a single behavior, as the model requires. *)
+      let pick j =
+        (* flm-lint: allow locality/hashtbl-hash — hashing a triple of
+           immediate ints is structure-stable, and (seed, round, j) are
+           all explicit inputs: the babbler stays one deterministic
+           behavior per seed, exactly what the model requires *)
+        let h = Hashtbl.hash (seed, round, j) in
+        if h mod 3 = 0 then None
+        else Some palette.(h mod Array.length palette)
+      in
+      state, Array.init arity pick)
+    ~output:(fun _ -> None)
 
-let mutate (honest : Device.t) ~rewrite =
-  {
-    honest with
-    Device.name = Printf.sprintf "mutate(%s)" honest.Device.name;
-    step =
-      (fun ~state ~round ~inbox ->
-        let state', sends = honest.Device.step ~state ~round ~inbox in
-        state', Array.mapi (fun port m -> rewrite ~port ~round m) sends);
-    output = (fun _ -> None);
-  }
+let mutate (Device.Device honest) ~rewrite =
+  Device.Device
+    {
+      honest with
+      name = Printf.sprintf "mutate(%s)" honest.name;
+      step =
+        (fun ~state ~round ~inbox ->
+          let state', sends = honest.step ~state ~round ~inbox in
+          state', Array.mapi (fun port m -> rewrite ~port ~round m) sends);
+      output = (fun _ -> None);
+    }

@@ -1,33 +1,42 @@
 (* Per-execution flat trace storage.  One arena holds everything a run
-   records, as the values themselves:
+   records:
 
-   - [states]: n × (rounds+1), index [u * (rounds+1) + r].
+   - [columns]: per node, its device and its rounds+1 states, in the
+     device's own state type.
+   - [projected]: n × (rounds+1), index [u * (rounds+1) + r] — each
+     state's encoding once a reader has asked for it.
    - [sent]: total_ports × rounds, index [(port_off.(u) + j) * rounds + r] —
      round-contiguous per directed edge, the stride edge-behavior readers
      walk.  [None] is a silent slot. *)
+
+type column = Column : 's Device.machine * 's array -> column
 
 type t = {
   n : int;
   rounds : int;
   port_off : int array;  (* length n+1; prefix sums of per-node arity *)
-  states : Value.t array;
+  columns : column array;
+  projected : Value.t option array;
   sent : Value.t option array;
 }
 
-let create ~n ~rounds ~arity =
-  if n < 0 then invalid_arg "Arena.create: n >= 0 required";
+let create sys ~rounds =
   if rounds < 0 then invalid_arg "Arena.create: rounds >= 0 required";
+  let n = Graph.n (System.graph sys) in
   let port_off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    let a = arity u in
-    if a < 0 then invalid_arg "Arena.create: negative arity";
-    port_off.(u + 1) <- port_off.(u) + a
+    port_off.(u + 1) <- port_off.(u) + Array.length (System.wiring sys u)
   done;
+  let column u =
+    let (Device.Device d) = System.device sys u in
+    Column (d, Array.make (rounds + 1) (d.init ~input:(System.input sys u)))
+  in
   {
     n;
     rounds;
     port_off;
-    states = Array.make (n * (rounds + 1)) Value.Unit;
+    columns = Array.init n column;
+    projected = Array.make (n * (rounds + 1)) None;
     sent = Array.make (port_off.(n) * rounds) None;
   }
 
@@ -46,8 +55,27 @@ let sent_index t u ~port ~round =
   if round < 0 || round >= t.rounds then invalid_arg "Arena: round out of range";
   ((t.port_off.(u) + port) * t.rounds) + round
 
-let set_state t u r v = Array.unsafe_set t.states (state_index t u r) v
-let state t u r = Array.unsafe_get t.states (state_index t u r)
+(* [columns.(u)] and [states.(r)] are bounds-checked reads. *)
+let step t u ~round ~inbox =
+  if round < 0 || round >= t.rounds then invalid_arg "Arena: round out of range";
+  let (Column (d, states)) = t.columns.(u) in
+  let state, sends = Device.step_checked d ~state:states.(round) ~round ~inbox in
+  states.(round + 1) <- state;
+  sends
+
+let output t u r =
+  let (Column (d, states)) = t.columns.(u) in
+  d.output states.(r)
+
+let project t u r =
+  let i = state_index t u r in
+  match t.projected.(i) with
+  | Some v -> v
+  | None ->
+    let (Column (d, states)) = t.columns.(u) in
+    let v = d.project states.(r) in
+    t.projected.(i) <- Some v;
+    v
 
 let set_sent t u ~port ~round v =
   Array.unsafe_set t.sent (sent_index t u ~port ~round) v

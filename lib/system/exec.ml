@@ -6,26 +6,22 @@ let runs_started = Atomic.make 0
 let total_runs () = Atomic.get runs_started
 
 (* States and sends land in a per-execution arena, and the inbox rows are
-   per-domain scratch reused across runs.  The arena stores the values
-   themselves, so each step gets back the very state its device returned
-   last round, and each receiver the very message recorded for the send
-   (in a signed run, the sanitized one). *)
+   per-domain scratch reused across runs.  The arena keeps each state in
+   its device's own type, so each step gets back the very state its device
+   returned last round and no state is encoded during the run; each
+   receiver gets the very message recorded for the send (in a signed run,
+   the sanitized one). *)
 let run ?(signed = false) ?(delay = 1) sys ~rounds =
   if rounds < 0 then invalid_arg "Exec.run: negative horizon";
   if delay < 1 then invalid_arg "Exec.run: delay >= 1 required";
   Atomic.incr runs_started;
   let n = Graph.n (System.graph sys) in
   let ledger = if signed then Some (Signature.ledger_create ~nodes:n) else None in
-  let arity u = Array.length (System.wiring sys u) in
-  let arena = Arena.create ~n ~rounds ~arity in
-  for u = 0 to n - 1 do
-    Arena.set_state arena u 0
-      ((System.device sys u).Device.init ~input:(System.input sys u))
-  done;
+  let arena = Arena.create sys ~rounds in
   (* back_port.(u).(j): the port on which wiring(u).(j) reaches back to u —
      precomputed once on the system (wiring never changes). *)
   let back_port = System.back_ports sys in
-  let arities = Array.init n arity in
+  let arities = Array.init n (fun u -> Array.length (System.wiring sys u)) in
   Exec_scratch.with_inboxes ~arities (fun inboxes ->
       for r = 0 to rounds - 1 do
         (* Cooperative deadline check, once per simulated round: a run whose
@@ -58,17 +54,13 @@ let run ?(signed = false) ?(delay = 1) sys ~rounds =
                 inbox)
             inboxes);
         for u = 0 to n - 1 do
-          let state', sends =
-            Device.step_checked (System.device sys u)
-              ~state:(Arena.state arena u r) ~round:r ~inbox:inboxes.(u)
-          in
+          let sends = Arena.step arena u ~round:r ~inbox:inboxes.(u) in
           let sends =
             match ledger with
             | None -> sends
             | Some ledger ->
               Array.map (Option.map (Signature.sanitize ledger ~node:u)) sends
           in
-          Arena.set_state arena u (r + 1) state';
           Array.iteri
             (fun port v -> Arena.set_sent arena u ~port ~round:r v)
             sends

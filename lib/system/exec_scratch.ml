@@ -4,11 +4,12 @@
    cached in domain-local storage keyed by the system's arity profile and
    handed out for the duration of one run.
 
-   Safety: devices read the inbox during [step] and never retain the array
-   (they may keep a message, as the EIG parse cache does, but messages are
-   immutable values the run's arena holds too), every slot is refilled each round before
-   any device reads it, and the buffers are domain-local — two domains
-   never share a row.  [with_inboxes] marks the cache in-use for its
+   Safety: devices read the inbox during [step] and never retain the
+   array (they may keep a message, as the EIG relay's per-domain parse
+   memo does, but messages are immutable values the run's arena holds
+   too, and a device's state is its own value, never a row), every slot
+   is refilled each round before any device reads it, and the buffers are
+   domain-local — two domains never share a row.  [with_inboxes] marks the cache in-use for its
    extent, so a nested or re-entrant execution on the same domain falls
    back to fresh arrays instead of aliasing live ones; rows are cleared on
    release so scratch never keeps a finished trace's messages alive. *)

@@ -15,11 +15,11 @@ let validate graph assign =
     (fun u { device; wiring; _ } ->
       let nbrs = Graph.neighbors graph u in
       let deg = List.length nbrs in
-      if device.Device.arity <> deg then
+      if Device.arity device <> deg then
         invalid_arg
           (Printf.sprintf
              "System: device %s at node %d has arity %d, degree is %d"
-             device.Device.name u device.Device.arity deg);
+             (Device.name device) u (Device.arity device) deg);
       if Array.length wiring <> deg then
         invalid_arg
           (Printf.sprintf "System: node %d wiring size %d, degree %d" u
@@ -74,7 +74,7 @@ let of_covering c ~device ~input =
 
 let substitute sys u device =
   let old = sys.assign.(u) in
-  if device.Device.arity <> old.device.Device.arity then
+  if Device.arity device <> Device.arity old.device then
     invalid_arg "System.substitute: arity mismatch";
   let assign = Array.copy sys.assign in
   assign.(u) <- { old with device };

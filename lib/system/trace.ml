@@ -1,7 +1,9 @@
 (* A trace reads a filled execution {!Arena}.  The arena keeps the very
-   values the devices produced, so every reader sees exactly what the run
-   recorded — the property the certificate machinery and the store's
-   byte-identity guarantees lean on.
+   states and messages the devices produced, so every reader sees exactly
+   what the run recorded — the property the certificate machinery and the
+   store's byte-identity guarantees lean on.  A state is read as a [Value]
+   only here, through the arena's memoized projection: a run whose readers
+   ask only for decisions never encodes a state.
 
    Each node's (decision, decision round) is memoized: locating a decision
    replays device outputs round by round, and the problem specs ask for it
@@ -24,7 +26,7 @@ let of_arena ~system ~rounds arena =
 let rounds t = t.rounds
 let system t = t.system
 
-let state t u r = Arena.state t.arena u r
+let state t u r = Arena.project t.arena u r
 let raw_sent t u ~port ~round = Arena.sent t.arena u ~port ~round
 let node_behavior t u = Array.init (t.rounds + 1) (state t u)
 
@@ -42,7 +44,7 @@ let delivered t ~dst ~round =
         raw_sent t v ~port:back ~round:(round - 1)
       end)
 
-let output t u ~round = (System.device t.system u).Device.output (state t u round)
+let output t u ~round = Arena.output t.arena u round
 
 let scan_decision t u =
   let rec scan r =
@@ -80,7 +82,7 @@ let pp ppf t =
   List.iter
     (fun u ->
       Format.fprintf ppf "@ node %d [%s] input=%a decision=%a" u
-        (System.device t.system u).Device.name Value.pp
+        (Device.name (System.device t.system u)) Value.pp
         (System.input t.system u) Value.pp_opt (decision t u))
     (Graph.nodes (System.graph t.system));
   Format.fprintf ppf "@]"

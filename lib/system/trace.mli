@@ -4,7 +4,9 @@
     records, for every node, its state sequence (the paper's {e node
     behavior}) and, for every directed edge, the message sequence crossing it
     (the {e edge behavior}).  It is a read-only view over the execution
-    {!Arena} the executor filled. *)
+    {!Arena} the executor filled.  States stay in their devices' own types;
+    a node behavior is their [Value] projection, computed on first read and
+    then shared by every later read of the same (node, round). *)
 
 type t
 
@@ -15,6 +17,7 @@ val rounds : t -> int
 val system : t -> System.t
 
 val node_behavior : t -> Graph.node -> Value.t array
+(** The projected states after 0 .. [rounds] steps. *)
 
 val edge_behavior : t -> src:Graph.node -> dst:Graph.node -> Value.t option array
 (** Messages sent by [src] to [dst], one slot per round.  Raises [Not_found]
@@ -25,7 +28,8 @@ val delivered : t -> dst:Graph.node -> round:int -> Value.t option array
     [round - 1]; all-[None] at round 0. *)
 
 val output : t -> Graph.node -> round:int -> Value.t option
-(** The node's CHOOSE output in its state after [round] steps. *)
+(** The node's CHOOSE output in its state after [round] steps, read off the
+    device's own state (no projection). *)
 
 val decision : t -> Graph.node -> Value.t option
 (** First output that becomes [Some].  Memoized per node. *)

@@ -23,9 +23,15 @@
    - allocation budget: the executor must not allocate meaningfully more
      than the boxed path did, and a fixed workload must stay under an
      absolute per-run byte ceiling.  A warm eig K12 f=2 run has its own
-     minor-word ceiling, which guards the EIG relay's shared label tables.
+     minor-word ceiling, which guards the EIG relay's shared label tables
+     and its native state, and a direct-major-word ceiling, which guards
+     allocating each new tree level once.
    - cross-domain determinism: two fresh domains run two of the golden
      cases concurrently, and each must reproduce the committed digests.
+   - one shared system: a single K12 split-brain system runs twice on one
+     domain and once on each of two fresh domains at once, and each run
+     must reproduce the committed digest — devices are immutable, so the
+     sweep may share one cell's devices across its runs.
    - the relay's parse cache: EIG and rooted-broadcast cases, some with
      faulty senders sharing one physical message, run alone, interleaved
      and nested on one domain; each must reproduce its committed digest.
@@ -289,7 +295,8 @@ let certificate_golden =
   ]
 
 (* Two golden cases as constructors, so the cross-domain check below can
-   build its own systems (devices carry a parse cache) in each domain. *)
+   build its own systems in each domain.  Each builds its system once: the
+   bytes closure reruns that one system. *)
 let k12_split_brain () =
   ( "trace eig K12 f=2 split-brain at {0,1}",
     "dcefbc71a6eb1c281c58396965287a94",
@@ -468,21 +475,39 @@ let allocation_budget () =
     (flat <= budget)
 
 (* A warm eig K12 f=2 run allocated 507,727 minor words while every relay
-   round consed its own label keys and [resolve] built vote lists; with the
-   shared label tables and the scratch-array resolve it allocates ~75,000.
-   The ceiling sits between the two, so losing either mechanism fails. *)
+   round consed its own label keys and [resolve] built vote lists, and
+   73,853 at commit fa2d2cd, where every step still re-encoded its whole
+   tree; with the shared label tables, the scratch-array resolve and the
+   tree kept in the device's own state it allocates 12,576.  Level arrays
+   longer than 256 words go straight to the major heap: 32,365 direct
+   major words (major minus promoted, from [Gc.counters]) at fa2d2cd,
+   where each new level was allocated twice, and 16,513 with one
+   allocation.  Each ceiling sits between its two figures, so encoding
+   states during the run, or allocating a level twice, fails.  The minor
+   figure comes from [Gc.minor_words]: the minor field of [Gc.counters]
+   varied from 9,232 to 123,920 over repeats of this same run under
+   OCaml 5.1. *)
 let relay_allocation () =
   let sys = eig_sys 12 2 in
   let rounds = Eig.decision_round ~f:2 + 1 in
   ignore (Exec.run sys ~rounds);
-  let before = Gc.minor_words () in
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
   ignore (Exec.run sys ~rounds);
-  let words = Gc.minor_words () -. before in
-  let ceiling = 150_000.0 in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 in
+  let ceiling = 40_000.0 in
   check
     (Printf.sprintf "eig K12 f=2 allocates at most %.0f minor words (%.0f)"
        ceiling words)
-    (words <= ceiling)
+    (words <= ceiling);
+  let direct = major1 -. promoted1 -. (major0 -. promoted0) in
+  let major_ceiling = 24_000.0 in
+  check
+    (Printf.sprintf
+       "eig K12 f=2 allocates at most %.0f words directly in the major heap \
+        (%.0f)"
+       major_ceiling direct)
+    (direct <= major_ceiling)
 
 (* --- determinism across domains -------------------------------------------- *)
 
@@ -506,6 +531,26 @@ let cross_domain () =
             (got = expected))
         results)
     (List.map Domain.join (List.init 2 (fun _ -> Domain.spawn digests)))
+
+(* --- one system, many runs ------------------------------------------------ *)
+
+(* Devices are immutable values, so a sweep wires each zoo cell once and
+   its runs share the devices.  One K12 system with two split-brain nodes
+   (the zoo's attacker that steps one honest device over several
+   sub-states) runs twice in a row on this domain, then on two fresh
+   domains at once; every run must reproduce the committed digest. *)
+let shared_system () =
+  let label, expected, bytes = k12_split_brain () in
+  let digest () = Digest.to_hex (Digest.string (bytes ())) in
+  let here = [ digest (); digest () ] in
+  let there = List.map Domain.join (List.init 2 (fun _ -> Domain.spawn digest)) in
+  List.iteri
+    (fun i got ->
+      check
+        (Printf.sprintf "%s, one system, run %d: digest %s, committed %s" label
+           i got expected)
+        (got = expected))
+    (here @ there)
 
 (* --- the relay's parse cache ----------------------------------------------- *)
 
@@ -576,12 +621,12 @@ let nested () =
   let rounds = Eig.decision_round ~f:2 + 1 in
   let inner = ref [] in
   let sys = with_echo ~n:7 ~rounds [ 3; 5 ] (eig_sys 7 2) in
-  let honest = System.device sys 6 in
+  let (Device.Device honest) = System.device sys 6 in
   let step ~state ~round ~inbox =
     inner := digest_of k7_broadcast_echo :: !inner;
-    honest.Device.step ~state ~round ~inbox
+    honest.step ~state ~round ~inbox
   in
-  let sys = System.substitute sys 6 { honest with Device.step } in
+  let sys = System.substitute sys 6 (Device.Device { honest with step }) in
   let label, expected, _ = k7_eig_echo () in
   ( ( label ^ ", broadcast nested at node 6", expected,
       Digest.to_hex (Digest.string (trace_bytes sys ~rounds ())) ),
@@ -629,6 +674,7 @@ let () =
   allocation_budget ();
   relay_allocation ();
   cross_domain ();
+  shared_system ();
   parse_cache ();
   if !failures > 0 then begin
     Printf.eprintf "perf-smoke: %d failure(s)\n" !failures;
@@ -637,5 +683,6 @@ let () =
   print_endline
     (Printf.sprintf
        "perf-smoke ok: %d golden digests + the n<=12 f<=2 grid digest + \
-        allocation budgets + cross-domain digests + parse-cache interleaving"
+        allocation budgets + cross-domain digests + one shared system + \
+        parse-cache interleaving"
        (List.length golden + List.length certificate_golden))

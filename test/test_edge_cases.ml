@@ -77,17 +77,17 @@ let float_corner_values () =
   check tbool "nan equal to itself" true
     (Value.equal (Value.float nan) (Value.float nan));
   (* Garbled floats in approx are replaced by own estimate (validity-safe). *)
-  let d = Approx.device ~n:4 ~f:1 ~me:0 ~rounds:2 in
-  let state = d.Device.init ~input:(Value.float 0.5) in
+  let (Device.Device d) = Approx.device ~n:4 ~f:1 ~me:0 ~rounds:2 in
+  let state = d.init ~input:(Value.float 0.5) in
   let state, _ =
-    d.Device.step ~state ~round:0 ~inbox:(Array.make 3 None)
+    d.step ~state ~round:0 ~inbox:(Array.make 3 None)
   in
   let state, _ =
-    d.Device.step ~state ~round:1
+    d.step ~state ~round:1
       ~inbox:
         [| Some (Value.float nan); Some (Value.float infinity); Some Value.unit |]
   in
-  let _, est, _ = Value.get_triple state in
+  let _, est, _ = Value.get_triple (d.project state) in
   check tbool "estimate stays finite" true (Float.is_finite (Value.get_float est))
 
 let gossip_on_disconnected_component () =

@@ -300,18 +300,6 @@ let prop_tree_encoding =
     ~count:200 tree_case (fun (n, _, claims) ->
       Value.equal (Eig_tree.to_value (build n claims)) (encoded (reference claims)))
 
-let prop_tree_round_trip =
-  QCheck.Test.make ~name:"Eig_tree.of_value round-trips" ~count:200 tree_case
-    (fun (n, _, claims) ->
-      let v = Eig_tree.to_value (build n claims) in
-      (* An unsorted encoding with duplicate labels parses first-wins, as
-         assoc lookup did. *)
-      let raw =
-        Value.of_assoc (List.map (fun (l, v) -> Eig_tree.label_key l, v) claims)
-      in
-      Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n v)) v
-      && Value.equal (Eig_tree.to_value (Eig_tree.of_value ~n raw)) v)
-
 (* [f] runs past the tree's depth, so leaf levels go missing, and up to
    n at n <= 3, so f+1 = n and f+1 > n both occur. *)
 let prop_tree_queries =
@@ -515,11 +503,8 @@ let prop_tree_rejects =
         | _ -> false
         | exception Invalid_argument _ -> true
       in
-      let key = Eig_tree.label_key l in
       raises (fun () -> Eig_tree.add (Eig_tree.empty ~n) l Value.unit)
-      && raises (fun () -> Eig_tree.find (Eig_tree.empty ~n) l)
-      && raises (fun () ->
-             Eig_tree.of_value ~n (Value.of_assoc [ key, Value.unit ])))
+      && raises (fun () -> Eig_tree.find (Eig_tree.empty ~n) l))
 
 let suite =
   ( "eig",
@@ -529,7 +514,6 @@ let suite =
       Alcotest.test_case "decision round exact" `Quick decision_round_exact;
       QCheck_alcotest.to_alcotest prop_boundary;
       QCheck_alcotest.to_alcotest prop_tree_encoding;
-      QCheck_alcotest.to_alcotest prop_tree_round_trip;
       QCheck_alcotest.to_alcotest prop_tree_queries;
       QCheck_alcotest.to_alcotest prop_majority;
       QCheck_alcotest.to_alcotest prop_tree_rejects;

@@ -259,24 +259,22 @@ let prop_no_forgery_survives =
       let forger_id = (victim + 1) mod n in
       (* The forger emits fabricated signatures of the victim every round. *)
       let forger =
-        {
-          (Device.silent ~name:"forger" ~arity:(n - 1)) with
-          Device.step =
-            (fun ~state ~round ~inbox:_ ->
-              let fake =
-                Signature.signed ~signer:victim
-                  (Value.int ((seed + round) mod 7))
-              in
-              state, Array.make (n - 1) (Some (Value.list [ fake ])));
-        }
+        Device.make ~name:"forger" ~arity:(n - 1)
+          ~init:(fun ~input:_ -> Value.unit)
+          ~step:(fun ~state ~round ~inbox:_ ->
+            let fake =
+              Signature.signed ~signer:victim (Value.int ((seed + round) mod 7))
+            in
+            state, Array.make (n - 1) (Some (Value.list [ fake ])))
+          ~output:(fun _ -> None)
       in
       (* Honest nodes record every *verified* signature of the victim. *)
       let recorder u =
-        {
-          Device.name = Printf.sprintf "rec%d" u;
-          arity = n - 1;
-          init = (fun ~input:_ -> Value.list []);
-          step =
+        Device.make
+          ~name:(Printf.sprintf "rec%d" u)
+          ~arity:(n - 1)
+          ~init:(fun ~input:_ -> Value.list [])
+          ~step:
             (fun ~state ~round:_ ~inbox ->
               let found =
                 Array.to_list inbox
@@ -291,9 +289,8 @@ let prop_no_forgery_survives =
                      | None -> [])
               in
               ( Value.list (found @ Value.get_list state),
-                Array.make (n - 1) None ));
-          output = (fun _ -> None);
-        }
+                Array.make (n - 1) None ))
+          ~output:(fun _ -> None)
       in
       let sys =
         System.make g (fun u ->

@@ -403,11 +403,11 @@ let forger ~n ~me =
     Signature.signed ~signer:me
       (Value.tag "inst" (Value.pair (Value.int me) (Value.bool (port = 1))))
   in
-  {
-    Device.name = "forger";
-    arity;
-    init = (fun ~input:_ -> Value.int 0);
-    step =
+  Device.make
+    ~name:"forger"
+    ~arity
+    ~init:(fun ~input:_ -> Value.int 0)
+    ~step:
       (fun ~state ~round ~inbox:_ ->
         let sends =
           if round = 0 then
@@ -418,9 +418,8 @@ let forger ~n ~me =
                 if port = 0 then Some (Value.list [ fake_chain ]) else None)
           else Array.make arity None
         in
-        state, sends);
-    output = (fun _ -> None);
-  }
+        state, sends)
+    ~output:(fun _ -> None)
 
 let ds_forgery_blocked_when_signed () =
   let n = 3 and f = 1 in

@@ -87,25 +87,26 @@ let replay_device_replays () =
        [| None; Some (Value.int 9); None |];
     |]
   in
-  let d = Device.replay ~name:"r" ~sends in
-  let state = d.Device.init ~input:Value.unit in
-  let _, out0 = d.Device.step ~state ~round:0 ~inbox:[| None; None |] in
-  let _, out1 = d.Device.step ~state ~round:1 ~inbox:[| Some (Value.int 5); None |] in
-  let _, out9 = d.Device.step ~state ~round:9 ~inbox:[| None; None |] in
+  let (Device.Device d) = Device.replay ~name:"r" ~sends in
+  let state = d.init ~input:Value.unit in
+  let _, out0 = d.step ~state ~round:0 ~inbox:[| None; None |] in
+  let _, out1 = d.step ~state ~round:1 ~inbox:[| Some (Value.int 5); None |] in
+  let _, out9 = d.step ~state ~round:9 ~inbox:[| None; None |] in
   check tbool "port0 round0" true (Value.equal_opt out0.(0) (Some (Value.int 1)));
   check tbool "port1 round0" true (out0.(1) = None);
   check tbool "port1 round1" true (Value.equal_opt out1.(1) (Some (Value.int 9)));
   check tbool "beyond horizon silent" true (Array.for_all Option.is_none out9)
 
 let step_checked_rejects () =
-  let bad =
-    {
-      (Device.silent ~name:"bad" ~arity:2) with
-      Device.step = (fun ~state ~round:_ ~inbox:_ -> state, [| None |]);
-    }
+  let (Device.Device bad) =
+    Device.make ~name:"bad" ~arity:2
+      ~init:(fun ~input:_ -> Value.unit)
+      ~step:(fun ~state ~round:_ ~inbox:_ -> state, [| None |])
+      ~output:(fun _ -> None)
   in
   match
-    Device.step_checked bad ~state:Value.unit ~round:0 ~inbox:[| None; None |]
+    Device.step_checked bad ~state:(bad.init ~input:Value.unit) ~round:0
+      ~inbox:[| None; None |]
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
@@ -160,19 +161,18 @@ let states_come_back_as_returned () =
     v
   in
   let device u =
-    {
-      Device.name = "fresh";
-      arity = 1;
-      init = (fun ~input:_ -> fresh u 0);
-      step =
+    Device.make
+      ~name:"fresh"
+      ~arity:1
+      ~init:(fun ~input:_ -> fresh u 0)
+      ~step:
         (fun ~state ~round ~inbox:_ ->
           check tbool
             (Printf.sprintf "node %d gets its own state at round %d" u round)
             true
             (state == returned.(u).(round));
-          fresh u (round + 1), [| None |]);
-      output = (fun _ -> None);
-    }
+          fresh u (round + 1), [| None |])
+      ~output:(fun _ -> None)
   in
   let sys = System.make (Topology.path 2) (fun u -> device u, Value.unit) in
   let t = Exec.run sys ~rounds in
@@ -185,6 +185,44 @@ let states_come_back_as_returned () =
           (state == returned.(u).(r)))
       (Trace.node_behavior t u)
   done
+
+(* A state is encoded only when a reader asks for it.  The device keeps a
+   bare bool and counts its projections: checking agreement reads
+   decisions off the native states and projects nothing, and node
+   behaviors project each (node, round) once, however often they are
+   read. *)
+let projection_on_demand () =
+  let rounds = 3 in
+  let projected = ref 0 in
+  let device =
+    Device.Device
+      {
+        Device.name = "counted";
+        arity = 1;
+        init = (fun ~input -> Value.get_bool input);
+        step = (fun ~state ~round:_ ~inbox:_ -> state, [| Some (Value.bool state) |]);
+        output = (fun state -> Some (Value.bool state));
+        project =
+          (fun state ->
+            incr projected;
+            Value.bool state);
+      }
+  in
+  let sys = System.make (Topology.path 2) (fun _ -> device, Value.bool true) in
+  let t = Exec.run sys ~rounds in
+  let violations =
+    Ba_spec.check ~trace:t ~correct:[ 0; 1 ] ~inputs:(fun _ -> Value.bool true)
+  in
+  check tbool "agreement and validity hold" true (violations = []);
+  check Alcotest.int "checking projects nothing" 0 !projected;
+  let first = List.map (Trace.node_behavior t) [ 0; 1 ] in
+  check Alcotest.int "one projection per (node, round)" (2 * (rounds + 1))
+    !projected;
+  let second = List.map (Trace.node_behavior t) [ 0; 1 ] in
+  check Alcotest.int "a second read projects nothing" (2 * (rounds + 1))
+    !projected;
+  check tbool "a second read returns the same values" true
+    (List.for_all2 (Array.for_all2 ( == )) first second)
 
 (* --- the axioms, executable ---------------------------------------------- *)
 
@@ -356,4 +394,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_bounded_delay;
       Alcotest.test_case "states come back as returned" `Quick
         states_come_back_as_returned;
+      Alcotest.test_case "projection on demand" `Quick projection_on_demand;
     ] )

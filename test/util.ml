@@ -5,44 +5,33 @@
    broadcasts its whole knowledge every round.  Deterministic, and
    information flows at exactly one edge per round — ideal for exercising
    Locality and Bounded-Delay. *)
-let gossip ~name ~arity =
-  let merge state extra =
-    let known = Value.get_list state in
-    Value.list (List.sort_uniq Value.compare (extra @ known))
+let gossip_step ~arity ~state ~inbox =
+  let heard =
+    Array.to_list inbox |> List.filter_map Fun.id |> List.concat_map Value.get_list
   in
-  {
-    Device.name;
-    arity;
-    init = (fun ~input -> Value.list [ input ]);
-    step =
-      (fun ~state ~round:_ ~inbox ->
-        let heard =
-          Array.to_list inbox |> List.filter_map Fun.id
-          |> List.concat_map Value.get_list
-        in
-        let state' = merge state heard in
-        state', Array.make arity (Some state'));
-    output = (fun _ -> None);
-  }
+  let state' =
+    Value.list (List.sort_uniq Value.compare (heard @ Value.get_list state))
+  in
+  state', Array.make arity (Some state')
+
+let gossip ~name ~arity =
+  Device.make ~name ~arity
+    ~init:(fun ~input -> Value.list [ input ])
+    ~step:(fun ~state ~round:_ ~inbox -> gossip_step ~arity ~state ~inbox)
+    ~output:(fun _ -> None)
 
 (* Same, but with an explicit round counter so it can decide its knowledge
    after [horizon] rounds. *)
 let gossip_deciding ~name ~arity ~horizon =
-  let base = gossip ~name ~arity in
-  {
-    Device.name;
-    arity;
-    init = (fun ~input -> Value.pair (Value.int 0) (base.Device.init ~input));
-    step =
-      (fun ~state ~round ~inbox ->
-        let r, inner = Value.get_pair state in
-        let inner', sends = base.Device.step ~state:inner ~round ~inbox in
-        Value.pair (Value.int (Value.get_int r + 1)) inner', sends);
-    output =
-      (fun state ->
-        let r, inner = Value.get_pair state in
-        if Value.get_int r >= horizon then Some inner else None);
-  }
+  Device.make ~name ~arity
+    ~init:(fun ~input -> Value.pair (Value.int 0) (Value.list [ input ]))
+    ~step:(fun ~state ~round:_ ~inbox ->
+      let r, inner = Value.get_pair state in
+      let inner', sends = gossip_step ~arity ~state:inner ~inbox in
+      Value.pair (Value.int (Value.get_int r + 1)) inner', sends)
+    ~output:(fun state ->
+      let r, inner = Value.get_pair state in
+      if Value.get_int r >= horizon then Some inner else None)
 
 let make_gossip_system ?(horizon = 8) g =
   System.make g (fun u ->
