@@ -13,7 +13,6 @@ let default_jobs () = max 1 (min (Domain.recommended_domain_count ()) jobs_cap)
 type t = {
   pool : Pool.t;
   verdicts : Job.verdict Exec_cache.t;
-  scenarios : bool Exec_cache.t;
   metrics : Metrics.t;
   config : config;
   store : Store.t option;
@@ -39,9 +38,6 @@ let create ?jobs ?(cache_capacity = 4096) ?(config = default_config) ?store
         ~on_degrade:(fun _reason -> Metrics.record_degraded metrics)
         ();
     verdicts = Exec_cache.create ~capacity:cache_capacity ~metrics ();
-    (* Scenario results are booleans — far cheaper than verdicts — so give
-       the fine-grained cache proportionally more room. *)
-    scenarios = Exec_cache.create ~capacity:(8 * cache_capacity) ~metrics ();
     metrics;
     config;
     store;
@@ -52,14 +48,6 @@ let jobs t = Pool.jobs t.pool
 let metrics t = t.metrics
 let config t = t.config
 let store t = t.store
-
-(* The scenario-level memoizer threaded into the sweeps: overlapping
-   executions (the same zoo run or relay run revisited across jobs or across
-   warm re-runs) are executed once. *)
-let memo t : Sweep.memo =
- fun desc run ->
-  Exec_cache.find_or_run t.scenarios ~metrics:t.metrics
-    (Fingerprint.intern desc) run
 
 (* The persistent tier below the verdict cache, read-through/write-behind:
    on a cache miss, a resuming engine first consults the store (a checkpoint
@@ -101,7 +89,7 @@ let run_job t job =
         match resume_find t job with
         | Some v -> v
         | None ->
-          let v = Job.run ~memo:(memo t) job in
+          let v = Job.run job in
           if t.store <> None then Metrics.record_recomputed t.metrics;
           persist t job v;
           v)
@@ -200,14 +188,9 @@ let chaos t ~family ~f ~seed ~strategy ~trials =
 let shutdown t = Pool.shutdown t.pool
 
 let pp_report ppf t =
-  Format.fprintf ppf
-    "%a@ caches: %d/%d verdicts, %d/%d scenarios (LRU), %d/%d interned keys"
-    Metrics.pp_report t.metrics
+  Format.fprintf ppf "%a@ verdict cache: %d/%d (LRU)" Metrics.pp_report
+    t.metrics
     (Exec_cache.length t.verdicts)
     (Exec_cache.capacity t.verdicts)
-    (Exec_cache.length t.scenarios)
-    (Exec_cache.capacity t.scenarios)
-    (Fingerprint.interned_count ())
-    (Fingerprint.capacity ())
 
 let report t = Format.asprintf "@[<v>%a@]" pp_report t

@@ -1,10 +1,11 @@
 (** The certificate engine: the single entry point for running certificate
     workloads at scale.
 
-    An engine owns a {!Pool} of worker domains, two {!Exec_cache}s (verdicts
-    keyed by job fingerprints; scenario executions keyed by scenario
-    fingerprints, threaded into the sweeps as a {!Sweep.memo}), and a
-    {!Metrics} instance shared by all of them.
+    An engine owns a {!Pool} of worker domains, one {!Exec_cache} of
+    verdicts keyed by job descriptors ({!Job.key}), and a {!Metrics}
+    instance shared by both.  A job is the unit of caching: a cell's runs
+    are not cached on their own, so a cold grid executes every run once and
+    a warm re-run executes nothing.
 
     {b Determinism guarantee.}  For any job list, [run_all] with [jobs > 1]
     returns exactly what the sequential path ([jobs = 1], or calling
@@ -42,8 +43,8 @@ val create :
   unit ->
   t
 (** [jobs] defaults to {!default_jobs} ([Domain.recommended_domain_count]
-    capped at 8); [1] forces the sequential path.  [cache_capacity] (default 4096) bounds the verdict
-    cache; the scenario cache gets 8x that.  [config] governs the supervised
+    capped at 8); [1] forces the sequential path.  [cache_capacity]
+    (default 4096) bounds the verdict cache.  [config] governs the supervised
     ([_result]) paths; raises [Flm_error.Error (Invalid_input _)] on
     negative retries/backoff or a deadline below 1 ms.
 
@@ -118,5 +119,4 @@ val shutdown : t -> unit
 
 val pp_report : Format.formatter -> t -> unit
 val report : t -> string
-(** The metrics report plus cache occupancy (including the process-wide
-    interned-key count against its bound, see {!Fingerprint.capacity}). *)
+(** The metrics report plus the verdict cache's occupancy. *)

@@ -235,13 +235,3 @@ let length t =
   Array.fold_left
     (fun acc s -> acc + with_stripe s (fun () -> s.size))
     0 t.stripes
-
-let clear t =
-  Array.iter
-    (fun s ->
-      with_stripe s (fun () ->
-          Hashtbl.reset s.table;
-          s.newest <- None;
-          s.oldest <- None;
-          s.size <- 0))
-    t.stripes

@@ -1,10 +1,10 @@
 (** Execution memoization: a lock-striped, LRU-bounded, domain-safe cache
-    from scenario fingerprints to results, with single-flight deduplication.
+    from job fingerprints to results, with single-flight deduplication.
 
-    Keys are hash-consed {!Fingerprint.key}s whose descriptors fully describe
-    the computation (see {!Sweep.memo} and {!Job.describe}); lookups compare
-    descriptors structurally, so fingerprint collisions cannot return a wrong
-    entry.
+    Keys are {!Fingerprint.key}s whose descriptors fully describe the
+    computation (see {!Job.describe}); lookups compare descriptors
+    structurally, so fingerprint collisions cannot return a wrong entry, and
+    a key built separately from an equal descriptor finds the same entry.
 
     Concurrency: the cache is sharded into independent stripes keyed by
     fingerprint bits, each with its own mutex, recency list, and share of the
@@ -47,4 +47,3 @@ val find_or_run : 'v t -> ?metrics:Metrics.t -> Fingerprint.key -> (unit -> 'v) 
     dedup ({!Metrics.record_dedup}). *)
 
 val length : 'v t -> int
-val clear : 'v t -> unit

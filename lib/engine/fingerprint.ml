@@ -40,94 +40,17 @@ let rec add_value h (v : Value.t) =
 
 let of_value v = add_value fnv_offset v
 let equal = Int64.equal
-let to_hex fp = Printf.sprintf "%016Lx" fp
 
-(* --- hash-consed keys ----------------------------------------------------- *)
+(* --- cache keys ----------------------------------------------------------- *)
 
 type key = { desc : Value.t; fp : t }
 
-let desc k = k.desc
 let of_key k = k.fp
+let intern desc = { desc; fp = of_value desc }
 
-(* The intern table is striped by low fingerprint bits: N independent
-   mutex+table pairs, so concurrent workers interning different descriptors
-   contend 1/N as often as on one global lock.  Fingerprints are uniform
-   (FNV-1a), so the stripes load-balance. *)
-
-let stripe_count = 16
-
-type stripe = {
-  lock : Mutex.t;
-  table : (t, key list ref) Hashtbl.t;
-  mutable count : int;
-}
-
-let stripes =
-  Array.init stripe_count (fun _ ->
-      { lock = Mutex.create (); table = Hashtbl.create 64; count = 0 })
-
-let stripe_of fp = stripes.(Int64.to_int fp land (stripe_count - 1))
-
-(* The table is bounded: interning is a sharing optimization, never a
-   correctness requirement ([equal_key] falls back to structural
-   comparison), so when a stripe fills up it is simply reset — a long chaos
-   run can no longer leak every descriptor it ever fingerprinted. *)
-let default_capacity = 1 lsl 16
-let capacity_ = Atomic.make default_capacity
-let capacity () = Atomic.get capacity_
-
-let set_capacity n =
-  if n < stripe_count then
-    Flm_error.raise_error
-      (Flm_error.Invalid_input
-         {
-           what = "intern capacity";
-           detail =
-             Printf.sprintf "Fingerprint.set_capacity: >= %d required"
-               stripe_count;
-         });
-  Atomic.set capacity_ n
-
-let with_stripe s f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-let intern desc =
-  let fp = of_value desc in
-  let s = stripe_of fp in
-  with_stripe s @@ fun () ->
-  match Hashtbl.find_opt s.table fp with
-  | Some bucket -> (
-    match List.find_opt (fun k -> Value.equal k.desc desc) !bucket with
-    | Some k -> k
-    | None ->
-      let k = { desc; fp } in
-      bucket := k :: !bucket;
-      s.count <- s.count + 1;
-      k)
-  | None ->
-    if s.count >= Atomic.get capacity_ / stripe_count then begin
-      Hashtbl.reset s.table;
-      s.count <- 0
-    end;
-    let k = { desc; fp } in
-    Hashtbl.add s.table fp (ref [ k ]);
-    s.count <- s.count + 1;
-    k
-
-(* Physical equality first: interned keys with equal descriptors are shared,
-   so the fast path almost always fires.  The structural fallback keeps
-   equality correct for keys built before interning, across processes, or
-   across an intern-table reset. *)
+(* Physical equality first, for a key compared with itself; otherwise equal
+   fingerprints and structurally equal descriptors.  The fingerprint is never
+   trusted alone, so a collision costs a descriptor compare, not a wrong
+   entry. *)
 let equal_key a b = a == b || (Int64.equal a.fp b.fp && Value.equal a.desc b.desc)
-
-let interned_count () =
-  Array.fold_left (fun acc s -> acc + with_stripe s (fun () -> s.count)) 0 stripes
-
-let clear () =
-  Array.iter
-    (fun s ->
-      with_stripe s (fun () ->
-          Hashtbl.reset s.table;
-          s.count <- 0))
-    stripes
+let clear () = ()

@@ -1,4 +1,4 @@
-(** Stable fingerprints and hash-consed cache keys.
+(** Stable fingerprints and structural cache keys.
 
     A fingerprint is a 64-bit FNV-1a hash of a {!Value.t} descriptor under a
     prefix-unambiguous encoding (constructor tag bytes + length prefixes).
@@ -6,7 +6,7 @@
     unlike [Hashtbl.hash] they never truncate the structure — so they are
     safe to persist and to use as shard keys.
 
-    Soundness note: the memoization cache never trusts a fingerprint alone.
+    Soundness note: the verdict cache never trusts a fingerprint alone.
     Keys carry their full descriptor and the cache compares descriptors
     structurally on every lookup, so a fingerprint collision costs a bucket
     scan, never a wrong verdict. *)
@@ -15,44 +15,25 @@ type t = int64
 
 val of_value : Value.t -> t
 val equal : t -> t -> bool
-val to_hex : t -> string
 
-(** {1 Hash-consed keys}
+(** {1 Cache keys}
 
-    [intern] maps structurally-equal descriptors to one shared physical key,
-    computed-once fingerprint included, so repeated lookups with the same
-    scenario descriptor are cheap (physical equality fast path).
-
-    The intern table is lock-striped by fingerprint bits (16 stripes), so
-    worker domains interning concurrently rarely contend, and {e bounded}:
-    when a stripe exceeds its share of [capacity ()] it is reset.  Interning
-    is a sharing optimization only — [equal_key] falls back to structural
-    comparison — so a reset can never change a verdict, it just costs future
-    lookups the fast path for the dropped keys. *)
+    A key pairs a descriptor with its fingerprint, computed once when the key
+    is built.  Keys compare by structure: two keys built separately from
+    equal descriptors are equal, so a cache needs no shared table of keys. *)
 
 type key
 
 val intern : Value.t -> key
-(** Thread-safe; callable from any domain. *)
+(** [intern desc] pairs [desc] with [of_value desc].  Pure; callable from any
+    domain. *)
 
-val desc : key -> Value.t
 val of_key : key -> t
 
 val equal_key : key -> key -> bool
 (** Physical equality, falling back to fingerprint + structural descriptor
     comparison. *)
 
-val interned_count : unit -> int
-(** Number of distinct keys currently interned in this process. *)
-
-val capacity : unit -> int
-(** The intern-table bound (total across stripes; default 65536 keys). *)
-
-val set_capacity : int -> unit
-(** Change the bound (>= the stripe count).  Takes effect on the next
-    insert; already-interned keys stay valid either way. *)
-
 val clear : unit -> unit
-(** Drop every interned key (the reset hook for long-running processes).
-    Outstanding keys remain usable — equality degrades to the structural
-    path until their descriptors are re-interned. *)
+(** A no-op: keys hold no process-wide state.  Kept for callers that reset
+    caches before a cold run. *)

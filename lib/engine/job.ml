@@ -109,7 +109,6 @@ let describe job =
          Value.string "horizon", Value.int horizon;
        ])
 
-let fingerprint job = Fingerprint.of_value (describe job)
 let key job = Fingerprint.intern (describe job)
 
 let label job =
@@ -337,10 +336,10 @@ let campaign_scenario { protocol; family; f; seed; trial; rounds; faults } =
   in
   seeded_trial g ~seed ~trial ~system ~faults:(fun _ -> faults)
 
-let run ?memo job =
+let run job =
   match job with
-  | Nf_cell { n; f } -> Cell (Sweep.nf_cell ?memo ~n ~f ())
-  | Conn_cell { kappa; n; f } -> Conn (Sweep.connectivity_cell ?memo ~f ~n ~kappa ())
+  | Nf_cell { n; f } -> Cell (Sweep.nf_cell ~n ~f ())
+  | Conn_cell { kappa; n; f } -> Conn (Sweep.connectivity_cell ~f ~n ~kappa ())
   | Certify { problem; n; f } ->
     let horizon = Eig.decision_round ~f + 1 in
     let eig w = Eig.device ~n ~f ~me:w ~default:bool_default in

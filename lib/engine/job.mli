@@ -116,9 +116,8 @@ val campaign_scenario : scenario -> chaos_outcome
 
 val describe : t -> Value.t
 (** The canonical descriptor: problem, topology, n, f, protocol, horizon.
-    This is what gets fingerprinted and interned as the cache key. *)
+    {!key} pairs it with its fingerprint as the verdict cache's key. *)
 
-val fingerprint : t -> Fingerprint.t
 val key : t -> Fingerprint.key
 val label : t -> string
 
@@ -128,10 +127,8 @@ val cost : t -> int
     only the ordering between jobs matters.  Never raises — a malformed
     spec costs [1] and fails in {!run}. *)
 
-val run : ?memo:Sweep.memo -> t -> verdict
-(** Execute the job sequentially in the calling domain.  [memo] is threaded
-    to the sweep's scenario-level executions ({!Sweep.memo}); omitting it
-    gives the uncached reference path. *)
+val run : t -> verdict
+(** Execute the job sequentially in the calling domain, uncached. *)
 
 val equal_verdict : verdict -> verdict -> bool
 (** Structural equality on the data projection (certificates compare by

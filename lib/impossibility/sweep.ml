@@ -6,10 +6,6 @@ type cell = {
   certificate_broke_it : bool option;
 }
 
-type memo = Value.t -> (unit -> bool) -> bool
-
-let no_memo _ run = run ()
-
 let bool_default = Value.bool false
 
 let agreement_and_validity trace correct inputs =
@@ -27,7 +23,7 @@ let attacks ~n honest u =
       ~palette:[ Value.bool true; Value.bool false; Value.int 3 ];
   |]
 
-let survives_zoo ?(memo = no_memo) ~n ~f () =
+let survives_zoo ~n ~f () =
   let g = Topology.complete n in
   let horizon = Eig.decision_round ~f + 1 in
   let patterns = [ 0; 1; (1 lsl n) - 1; 0b1010101 land ((1 lsl n) - 1) ] in
@@ -60,34 +56,22 @@ let survives_zoo ?(memo = no_memo) ~n ~f () =
         (fun faulty ->
           List.for_all
             (fun which ->
-              (* Everything the execution depends on — protocol, topology,
-                 inputs, adversary placement and kind, horizon — is a pure
-                 function of this descriptor, so a [memo] hit cannot change
-                 the verdict. *)
-              let key =
-                Value.tag "zoo-run"
-                  (Value.list
-                     [ Value.int n; Value.int f; Value.int horizon;
-                       Value.int pattern; Value.int_list faulty;
-                       Value.int which ])
+              let sys =
+                List.fold_left
+                  (fun acc u ->
+                    System.substitute acc u (List.assoc u attackers).(which))
+                  with_inputs faulty
               in
-              memo key (fun () ->
-                  let sys =
-                    List.fold_left
-                      (fun acc u ->
-                        System.substitute acc u (List.assoc u attackers).(which))
-                      with_inputs faulty
-                  in
-                  let trace = Exec.run sys ~rounds:horizon in
-                  let correct =
-                    List.filter (fun u -> not (List.mem u faulty)) (Graph.nodes g)
-                  in
-                  agreement_and_validity trace correct (fun u -> inputs.(u))))
+              let trace = Exec.run sys ~rounds:horizon in
+              let correct =
+                List.filter (fun u -> not (List.mem u faulty)) (Graph.nodes g)
+              in
+              agreement_and_validity trace correct (fun u -> inputs.(u)))
             [ 0; 1; 2; 3 ])
         faulty_sets)
     patterns
 
-let nf_cell ?memo ~n ~f () =
+let nf_cell ~n ~f () =
   if n < 3 then invalid_arg "Sweep.nf_cell: n >= 3 required";
   let g = Topology.complete n in
   let adequate = Connectivity.is_adequate ~f g in
@@ -96,7 +80,7 @@ let nf_cell ?memo ~n ~f () =
       n;
       f;
       adequate;
-      survived_attacks = Some (survives_zoo ?memo ~n ~f ());
+      survived_attacks = Some (survives_zoo ~n ~f ());
       certificate_broke_it = None;
     }
   else begin
@@ -130,7 +114,7 @@ let nf_grid ~n_max ~f_max =
 let nf_boundary ~n_max ~f_max =
   List.map (fun (n, f) -> nf_cell ~n ~f ()) (nf_grid ~n_max ~f_max)
 
-let connectivity_cell ?(memo = no_memo) ~f ~n ~kappa () =
+let connectivity_cell ~f ~n ~kappa () =
   let g = Topology.harary ~k:kappa ~n in
   let adequate = Connectivity.is_adequate ~f g in
   if adequate then begin
@@ -138,27 +122,21 @@ let connectivity_cell ?(memo = no_memo) ~f ~n ~kappa () =
     let source = 0 in
     let value = Value.int 99 in
     let horizon = Dolev_relay.decision_round g ~f ~source + 1 in
-    let key =
-      Value.tag "conn-relay"
-        (Value.list [ Value.int kappa; Value.int n; Value.int f; Value.int horizon ])
+    let liar u =
+      Adversary.mutate
+        (Dolev_relay.device g ~f ~source ~me:u ~default:(Value.int 0))
+        ~rewrite:(fun ~port:_ ~round:_ m -> Option.map (fun _ -> Value.int 666) m)
     in
+    let bad = List.init f (fun i -> 1 + (2 * i)) in
+    let sys = Dolev_relay.system g ~f ~source ~value ~default:(Value.int 0) in
+    let sys =
+      List.fold_left (fun acc u -> System.substitute acc u (liar u)) sys bad
+    in
+    let trace = Exec.run sys ~rounds:horizon in
     let ok =
-      memo key (fun () ->
-          let liar u =
-            Adversary.mutate
-              (Dolev_relay.device g ~f ~source ~me:u ~default:(Value.int 0))
-              ~rewrite:(fun ~port:_ ~round:_ m ->
-                Option.map (fun _ -> Value.int 666) m)
-          in
-          let bad = List.init f (fun i -> 1 + (2 * i)) in
-          let sys = Dolev_relay.system g ~f ~source ~value ~default:(Value.int 0) in
-          let sys =
-            List.fold_left (fun acc u -> System.substitute acc u (liar u)) sys bad
-          in
-          let trace = Exec.run sys ~rounds:horizon in
-          List.for_all
-            (fun u -> List.mem u bad || Trace.decision trace u = Some value)
-            (Graph.nodes g))
+      List.for_all
+        (fun u -> List.mem u bad || Trace.decision trace u = Some value)
+        (Graph.nodes g)
     in
     kappa, adequate, Some ok, None
   end

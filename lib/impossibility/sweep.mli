@@ -7,7 +7,9 @@
 
     The per-cell entry points ({!nf_cell}, {!connectivity_cell}) are what the
     parallel {!Engine} fans out over; the [*_boundary] functions are their
-    sequential compositions and define the reference semantics. *)
+    sequential compositions and define the reference semantics.  A cell
+    executes every run it needs; caching happens one level up, where the
+    engine keeps whole cells by job descriptor. *)
 
 type cell = {
   n : int;
@@ -21,21 +23,11 @@ type cell = {
           contradiction?  [None] on the adequate side. *)
 }
 
-type memo = Value.t -> (unit -> bool) -> bool
-(** A memoization hook for scenario executions: [memo key run] either returns
-    a cached result for [key] or evaluates [run ()].  The [key] is a complete
-    first-order description of the execution (protocol, topology, inputs,
-    adversary, horizon), so substituting a cached result never changes a
-    verdict.  The default hook always runs. *)
-
-val no_memo : memo
-(** Always executes; the sequential reference path. *)
-
-val nf_cell : ?memo:memo -> n:int -> f:int -> unit -> cell
+val nf_cell : n:int -> f:int -> unit -> cell
 (** One cell of the 3f+1 table on the complete graph K_n: zoo survival when
     adequate, covering certificate when inadequate.  [n >= 3] required. *)
 
-val survives_zoo : ?memo:memo -> n:int -> f:int -> unit -> bool
+val survives_zoo : n:int -> f:int -> unit -> bool
 (** The adequate-side adversary zoo on K_n (silent, crash, split-brain,
     babbler over a grid of input patterns and faulty sets). *)
 
@@ -49,12 +41,7 @@ val nf_boundary : n_max:int -> f_max:int -> cell list
 (** Complete graphs K_n over {!nf_grid}: 3 ≤ n ≤ [n_max], 1 ≤ f ≤ [f_max]. *)
 
 val connectivity_cell :
-  ?memo:memo ->
-  f:int ->
-  n:int ->
-  kappa:int ->
-  unit ->
-  int * bool * bool option * bool option
+  f:int -> n:int -> kappa:int -> unit -> int * bool * bool option * bool option
 (** One row of the connectivity table on the Harary graph H(κ, n). *)
 
 val connectivity_boundary :

@@ -1,9 +1,9 @@
 open Parsetree
 
 (* Error/equality hygiene.  [Obj.magic] is banned outright; polymorphic
-   compare must not touch fingerprints (structural compare on hash-consed
-   values defeats interning and, on the int64 fingerprint itself, invites
-   compare-vs-equal drift); library failures in the engine/store layers
+   compare must not touch fingerprints (on a cache key it walks the whole
+   descriptor instead of checking the fingerprint first, and on the int64
+   fingerprint itself it invites compare-vs-equal drift); library failures in the engine/store layers
    must raise through Flm_error so callers and the CLI's exit-code
    contract can observe the class. *)
 

@@ -91,7 +91,7 @@ let describe = function
      lock (Fun.protect body or with_* helper closure)"
   | Hygiene_obj_magic -> "Obj.magic is forbidden everywhere"
   | Hygiene_poly_compare ->
-    "no polymorphic =/<>/compare on Fingerprint.t or interned key values; \
+    "no polymorphic =/<>/compare on Fingerprint.t or cache key values; \
      use Fingerprint.equal / Fingerprint.equal_key"
   | Hygiene_untyped_raise ->
     "library paths raise through Flm_error, not bare failwith/invalid_arg"

@@ -28,8 +28,5 @@ val check_weak :
 (** Weak agreement: agreement + choice-by-[deadline] over [correct]; validity
     only when [all_correct]. *)
 
-val agreement : problem:string -> Trace.t -> Graph.node list -> Violation.t list
-(** The shared agreement check, exposed for other specs. *)
-
 val termination :
   problem:string -> ?deadline:int -> Trace.t -> Graph.node list -> Violation.t list

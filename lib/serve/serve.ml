@@ -1,9 +1,9 @@
 (* The daemon.  The calling domain owns the accept loop; every accepted
    connection runs as a session in its own domain, and all sessions share
-   one resident engine — so the verdict cache, the interned fingerprints,
-   the worker pool, and the optional persistent store stay warm across
-   requests, and identical concurrent requests coalesce in the cache's
-   single-flight layer instead of computing twice.
+   one resident engine — so the verdict cache, the worker pool, and the
+   optional persistent store stay warm across requests, and identical
+   concurrent requests coalesce in the cache's single-flight layer instead
+   of computing twice.
 
    Shutdown discipline: SIGTERM/SIGINT only flip an atomic; the accept
    loop and the session read loops poll it on a short select timeout, so

@@ -1,5 +1,5 @@
 (** The [flm serve] daemon: one resident {!Engine} (persistent worker
-    pool, striped intern table, warm caches, optional persistent store)
+    pool, warm verdict cache, optional persistent store)
     answering certify/sweep/chaos/store-stat/stats requests over a Unix
     domain socket speaking {!Serve_proto}.
 

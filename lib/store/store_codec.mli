@@ -20,7 +20,6 @@ exception Malformed of string
     that overruns the buffer, or trailing garbage.  The journal layer turns
     it into a typed {!Flm_error.Store_corrupt}. *)
 
-val encode_value : Buffer.t -> Value.t -> unit
 val encode : Value.t -> string
 
 val decode : string -> Value.t

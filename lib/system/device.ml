@@ -28,12 +28,6 @@ let silent ~name ~arity =
     ~step:(fun ~state ~round:_ ~inbox:_ -> state, no_sends arity)
     ~output:(fun _ -> None)
 
-let constant ~name ~arity v =
-  make ~name ~arity
-    ~init:(fun ~input:_ -> Value.unit)
-    ~step:(fun ~state ~round:_ ~inbox:_ -> state, no_sends arity)
-    ~output:(fun _ -> Some v)
-
 let replay ~name ~sends =
   make ~name ~arity:(Array.length sends)
     ~init:(fun ~input:_ -> Value.unit)
@@ -46,8 +40,6 @@ let replay ~name ~sends =
       in
       state, out)
     ~output:(fun _ -> None)
-
-let with_name name (Device d) = Device { d with name }
 
 let check (Device d) =
   if d.arity < 0 then invalid_arg "Device.check: negative arity"

@@ -68,16 +68,11 @@ val arity : t -> int
 val silent : name:string -> arity:int -> t
 (** Never sends, never decides. *)
 
-val constant : name:string -> arity:int -> Value.t -> t
-(** Never sends; decides its argument immediately. *)
-
 val replay : name:string -> sends:Value.t option array array -> t
 (** [replay ~sends] ignores input and inbox and transmits [sends.(port).(r)]
     on each [port] at each round [r] (silence beyond the recorded horizon).
     This is the Fault-axiom device [F_A(E_1, …, E_d)]: each port's schedule
     may be taken from a {e different} run.  Arity = [Array.length sends]. *)
-
-val with_name : string -> t -> t
 
 val check : t -> unit
 (** Sanity checks ([arity >= 0]); raises [Invalid_argument]. *)

@@ -72,11 +72,6 @@ let decided t u =
 let decision t u = fst (decided t u)
 let decision_round t u = snd (decided t u)
 
-let border_behaviors t nodes =
-  List.map
-    (fun (src, dst) -> (src, dst), edge_behavior t ~src ~dst)
-    (Graph.inedge_border (System.graph t.system) nodes)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>trace (%d rounds)" t.rounds;
   List.iter

@@ -37,10 +37,6 @@ val decision : t -> Graph.node -> Value.t option
 val decision_round : t -> Graph.node -> int option
 (** Number of steps after which the decision first appears. *)
 
-val border_behaviors :
-  t -> Graph.node list -> ((Graph.node * Graph.node) * Value.t option array) list
-(** Edge behaviors of the inedge border of a node set. *)
-
 val pp : Format.formatter -> t -> unit
 (** Compact rendering: per node, name/input/decision; used by examples. *)
 

@@ -15,15 +15,32 @@ let () =
     prerr_endline "engine-smoke: parallel connectivity verdicts diverge";
     exit 1
   end;
-  (* A warm re-run must be pure cache hits with equal verdicts. *)
+  (* The verdict cache is the only tier: the cold grid misses once per job
+     and hits nothing; a warm re-run is one hit per job, with no miss and
+     no execution. *)
   let snap_cold = Metrics.snapshot (Engine.metrics eng) in
+  if snap_cold.Metrics.cache_hits <> 0
+     || snap_cold.Metrics.cache_misses <> snap_cold.Metrics.jobs_completed
+  then begin
+    Printf.eprintf "engine-smoke: cold grid recorded %d hits / %d misses for %d jobs\n"
+      snap_cold.Metrics.cache_hits snap_cold.Metrics.cache_misses
+      snap_cold.Metrics.jobs_completed;
+    exit 1
+  end;
   if Engine.nf_boundary eng ~n_max:5 ~f_max:1 <> seq then begin
     prerr_endline "engine-smoke: warm-cache verdicts diverge";
     exit 1
   end;
   let snap = Metrics.snapshot (Engine.metrics eng) in
-  if snap.Metrics.cache_hits <= snap_cold.Metrics.cache_hits then begin
-    prerr_endline "engine-smoke: warm re-run recorded no cache hits";
+  let warm_jobs = List.length seq in
+  let hits = snap.Metrics.cache_hits - snap_cold.Metrics.cache_hits
+  and misses = snap.Metrics.cache_misses - snap_cold.Metrics.cache_misses
+  and runs = snap.Metrics.executions_run - snap_cold.Metrics.executions_run in
+  if hits <> warm_jobs || misses <> 0 || runs <> 0 then begin
+    Printf.eprintf
+      "engine-smoke: warm re-run of %d jobs recorded %d hits / %d misses / %d \
+       executions\n"
+      warm_jobs hits misses runs;
     exit 1
   end;
   Printf.printf

@@ -117,30 +117,33 @@ let eviction_metrics () =
   check tint "hits counted" 1 snap.Metrics.cache_hits;
   check tint "misses counted" 4 snap.Metrics.cache_misses
 
-(* The scenario-level memo threaded into the sweeps: a warm re-run of the
-   same cell is all hits and produces the identical cell. *)
-let scenario_memo () =
-  let hits = ref 0 and misses = ref 0 in
-  let table = Hashtbl.create 64 in
-  let memo key run =
-    match Hashtbl.find_opt table key with
-    | Some v ->
-      incr hits;
-      v
-    | None ->
-      incr misses;
-      let v = run () in
-      Hashtbl.add table key v;
-      v
+(* Keys compare by structure: an entry inserted under one key is found
+   through a key built separately from an equal descriptor, by [find_opt]
+   and by [find_or_run], which counts it as a hit and runs nothing. *)
+let structural_keys () =
+  let desc () = Value.list [ Value.string "structural"; Value.int 7 ] in
+  let k1 = Fingerprint.intern (desc ()) and k2 = Fingerprint.intern (desc ()) in
+  check tbool "two separately built keys" false (k1 == k2);
+  check tbool "equal by structure" true (Fingerprint.equal_key k1 k2);
+  let metrics = Metrics.create () in
+  let cache = Exec_cache.create ~capacity:16 ~metrics () in
+  Exec_cache.insert cache k1 42;
+  check tbool "find_opt through the other key" true
+    (Exec_cache.find_opt cache k2 = Some 42);
+  let ran = ref false in
+  let v =
+    Exec_cache.find_or_run cache ~metrics
+      (Fingerprint.intern (desc ()))
+      (fun () ->
+        ran := true;
+        0)
   in
-  let c1 = Sweep.nf_cell ~memo ~n:4 ~f:1 () in
-  let cold_misses = !misses in
-  check tbool "cold run misses" true (cold_misses > 0);
-  check tint "cold run has no hits" 0 !hits;
-  let c2 = Sweep.nf_cell ~memo ~n:4 ~f:1 () in
-  check tbool "warm cell identical" true (c1 = c2);
-  check tint "warm run adds no misses" cold_misses !misses;
-  check tint "warm run is all hits" cold_misses !hits
+  check tint "find_or_run returns the inserted value" 42 v;
+  check tbool "find_or_run ran nothing" false !ran;
+  let snap = Metrics.snapshot metrics in
+  check tint "counted as a hit" 1 snap.Metrics.cache_hits;
+  check tint "no miss" 0 snap.Metrics.cache_misses;
+  check tint "one entry" 1 (Exec_cache.length cache)
 
 (* Single-flight deduplication: a second domain missing on a key while the
    first is computing it must share the leader's result, not rerun the
@@ -225,26 +228,23 @@ let single_flight_abandon () =
   check tbool "only the successful value was cached" true
     (Exec_cache.find_opt cache key = Some 7)
 
-(* The intern table is bounded: stripes reset at capacity instead of growing
-   without limit, and interned keys stay usable afterwards. *)
-let intern_bound () =
-  let original = Fingerprint.capacity () in
-  Fingerprint.clear ();
-  Fingerprint.set_capacity 64;
-  let keys =
-    List.init 1000 (fun i -> Fingerprint.intern (Value.int (1_000_000 + i)))
-  in
-  check tbool "intern table stays within its bound" true
-    (Fingerprint.interned_count () <= 64);
-  (* Keys dropped by a stripe reset still compare correctly (structural
-     fallback) against a fresh interning of the same descriptor. *)
-  check tbool "evicted keys still equal their re-interned descriptors" true
-    (List.for_all
-       (fun k -> Fingerprint.equal_key k (Fingerprint.intern (Fingerprint.desc k)))
-       keys);
-  Fingerprint.clear ();
-  check tint "clear empties the table" 0 (Fingerprint.interned_count ());
-  Fingerprint.set_capacity original
+(* The verdict cache is the only cache tier: a cold grid looks up each
+   cell once, misses every time, and executes exactly the runs the plain
+   sequential sweep executes. *)
+let cold_sweep_lookups () =
+  let runs0 = Exec.total_runs () in
+  let reference = Sweep.nf_boundary ~n_max:5 ~f_max:1 in
+  let reference_runs = Exec.total_runs () - runs0 in
+  let eng = Engine.create ~jobs:1 () in
+  let cells = Engine.nf_boundary eng ~n_max:5 ~f_max:1 in
+  let snap = Metrics.snapshot (Engine.metrics eng) in
+  Engine.shutdown eng;
+  check tbool "cells equal Sweep.nf_boundary" true (cells = reference);
+  check tint "one miss per cell" (List.length reference)
+    snap.Metrics.cache_misses;
+  check tint "no hits" 0 snap.Metrics.cache_hits;
+  check tint "executions equal Sweep.nf_boundary's" reference_runs
+    snap.Metrics.executions_run
 
 let pool_ordering () =
   let pool = Pool.create ~jobs:4 ~chunk:3 ~oversubscribe:true () in
@@ -265,19 +265,22 @@ let pool_exception () =
   | exception Failure m -> check Alcotest.string "lowest failing index" "5" m
 
 let fingerprints () =
+  let fingerprint j = Fingerprint.of_value (Job.describe j) in
   let j = Job.Nf_cell { n = 4; f = 1 } in
   check tbool "fingerprint is stable" true
-    (Fingerprint.equal (Job.fingerprint j)
-       (Job.fingerprint (Job.Nf_cell { n = 4; f = 1 })));
+    (Fingerprint.equal (fingerprint j)
+       (fingerprint (Job.Nf_cell { n = 4; f = 1 })));
   check tbool "different jobs differ" false
-    (Fingerprint.equal (Job.fingerprint j)
-       (Job.fingerprint (Job.Nf_cell { n = 5; f = 1 })));
+    (Fingerprint.equal (fingerprint j)
+       (fingerprint (Job.Nf_cell { n = 5; f = 1 })));
   check tbool "spec kinds differ" false
     (Fingerprint.equal
-       (Job.fingerprint (Job.Nf_cell { n = 3; f = 1 }))
-       (Job.fingerprint (Job.Certify { problem = Job.Ba; n = 3; f = 1 })));
-  check tbool "interned keys are shared" true
-    (Job.key j == Job.key (Job.Nf_cell { n = 4; f = 1 }));
+       (fingerprint (Job.Nf_cell { n = 3; f = 1 }))
+       (fingerprint (Job.Certify { problem = Job.Ba; n = 3; f = 1 })));
+  check tbool "separately built job keys are equal" true
+    (Fingerprint.equal_key (Job.key j) (Job.key (Job.Nf_cell { n = 4; f = 1 })));
+  check tbool "different job keys differ" false
+    (Fingerprint.equal_key (Job.key j) (Job.key (Job.Nf_cell { n = 5; f = 1 })));
   (* The encoding is prefix-unambiguous: list shape matters. *)
   check tbool "list nesting distinguishes" false
     (Fingerprint.equal
@@ -291,10 +294,11 @@ let suite =
       Alcotest.test_case "cache correctness" `Quick cache_correctness;
       Alcotest.test_case "LRU eviction bound" `Quick lru_eviction;
       Alcotest.test_case "eviction metrics" `Quick eviction_metrics;
-      Alcotest.test_case "scenario memo" `Quick scenario_memo;
+      Alcotest.test_case "structural key lookup" `Quick structural_keys;
       Alcotest.test_case "single-flight dedup" `Quick single_flight;
       Alcotest.test_case "single-flight abandon" `Quick single_flight_abandon;
-      Alcotest.test_case "intern-table bound" `Quick intern_bound;
+      Alcotest.test_case "cold sweep: one miss per cell" `Quick
+        cold_sweep_lookups;
       Alcotest.test_case "pool ordering" `Quick pool_ordering;
       Alcotest.test_case "pool exception" `Quick pool_exception;
       Alcotest.test_case "fingerprints" `Quick fingerprints;
