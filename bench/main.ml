@@ -481,6 +481,13 @@ let e14 () =
 
 (* --- E15: the certificate engine -------------------------------------------------- *)
 
+(* The engine's one job path, for grids that must not fail: a typed error
+   in any slot aborts the experiment. *)
+let run_grid eng grid =
+  List.map
+    (function Ok v -> v | Error e -> failwith (Flm_error.to_string e))
+    (Engine.run_all_results eng grid)
+
 let e15 () =
   section "E15"
     "the certificate engine: sequential vs parallel vs warm cache on the \
@@ -502,7 +509,7 @@ let e15 () =
   let phase label eng =
     Metrics.reset (Engine.metrics eng);
     let t0 = Metrics.wall_now () in
-    let verdicts = Engine.run_all eng grid in
+    let verdicts = run_grid eng grid in
     let dt = Metrics.wall_now () -. t0 in
     let snap = Metrics.snapshot (Engine.metrics eng) in
     Format.printf "%-12s | %4d | %8.3f | %10.1f | %5.1f%% (%d executions)@."
@@ -656,68 +663,6 @@ let e23 () =
   | None -> ());
   Format.printf "wrote BENCH_E23.json@."
 
-(* --- Bechamel timing benches -------------------------------------------------------- *)
-
-(* --- E16: supervision overhead ----------------------------------------------------- *)
-
-let e16 () =
-  section "E16"
-    "supervision overhead: the supervised result path (deadline frames + \
-     classification + retry accounting) vs the raw path on the harary 2f+1 \
-     boundary grid";
-  let grid =
-    List.concat_map
-      (fun (f, n) ->
-        List.map
-          (fun kappa -> Job.Conn_cell { kappa; n; f })
-          [ 2 * f; (2 * f) + 1; (2 * f) + 2 ])
-      [ 1, 7; 1, 9; 1, 11; 2, 11; 2, 13 ]
-  in
-  (* Fresh sequential engines per phase so both measure cold caches and no
-     pool scheduling noise; the deadline is generous — the point is the cost
-     of carrying supervision, not of tripping it. *)
-  let time phase =
-    let t0 = Metrics.wall_now () in
-    let out = phase () in
-    Metrics.wall_now () -. t0, out
-  in
-  let raw_dt, raw =
-    time (fun () -> Engine.run_all (Engine.create ~jobs:1 ()) grid)
-  in
-  let sup_dt, sup =
-    time (fun () ->
-        let eng =
-          Engine.create ~jobs:1
-            ~config:
-              { Engine.default_config with Engine.timeout_ms = Some 600_000 }
-            ()
-        in
-        Engine.run_all_results eng grid)
-  in
-  let overhead = 100.0 *. ((sup_dt /. raw_dt) -. 1.0) in
-  Format.printf "%-12s | %8s@." "path" "seconds";
-  Format.printf "%-12s | %8.3f@." "raw" raw_dt;
-  Format.printf "%-12s | %8.3f@." "supervised" sup_dt;
-  Format.printf "overhead: %+.1f%% over %d jobs (expected < 5%%)@." overhead
-    (List.length grid);
-  Format.printf "verdicts identical (raw = supervised): %b@."
-    (List.for_all2
-       (fun v -> function Ok v' -> Job.equal_verdict v v' | Error _ -> false)
-       raw sup);
-  Bench_json.write_file ~path:"BENCH_E16.json"
-    (Bench_json.bench_record ~experiment:"E16"
-       ~config:
-         [ "grid_jobs", Bench_json.Int (List.length grid);
-           "cores", Bench_json.Int (Domain.recommended_domain_count ());
-         ]
-       ~derived:[ "supervision_overhead_pct", Bench_json.Float overhead ]
-       ~runs:
-         [ Bench_json.run_record ~label:"raw" ~jobs:1 ~wall_seconds:raw_dt ();
-           Bench_json.run_record ~label:"supervised" ~jobs:1
-             ~wall_seconds:sup_dt ();
-         ]
-       ())
-
 (* --- E17: checkpoint/resume warm-start ---------------------------------------------- *)
 
 let e17 () =
@@ -752,7 +697,7 @@ let e17 () =
     let store = open_store () in
     let eng = Engine.create ~jobs:1 ~store ~resume () in
     let t0 = Metrics.wall_now () in
-    let verdicts = Engine.run_all eng grid in
+    let verdicts = run_grid eng grid in
     let dt = Metrics.wall_now () -. t0 in
     let snap = Metrics.snapshot (Engine.metrics eng) in
     Format.printf "%-12s | %8.3f | %7d | %10d | %d@." label dt
@@ -853,6 +798,8 @@ let e22 () =
   | None -> ());
   Format.printf "wrote BENCH_E22.json@."
 
+(* --- Bechamel timing benches -------------------------------------------------------- *)
+
 let timing () =
   section "TIMING" "Bechamel micro-benchmarks of the hot paths";
   let open Bechamel in
@@ -945,8 +892,8 @@ let timing () =
 let experiments =
   [ "E19", e19; "E20", e20; "E21", e21; "E1", e1; "E2", e2; "E3", e3;
     "E4", e4; "E5", e5; "E6", e6; "E7", e7; "E8", e8; "E9", e9; "E10", e10;
-    "E11", e11; "E12", e12; "E13", e13; "E14", e14; "E15", e15; "E16", e16;
-    "E17", e17; "E18", e18; "E22", e22; "E23", e23; "TIMING", timing ]
+    "E11", e11; "E12", e12; "E13", e13; "E14", e14; "E15", e15; "E17", e17;
+    "E18", e18; "E22", e22; "E23", e23; "TIMING", timing ]
 
 let () =
   Format.printf

@@ -121,18 +121,7 @@ let timeout_arg =
            simulated round); a job past it yields a typed timeout instead of \
            a verdict.")
 
-let retries_arg =
-  let open Cmdliner in
-  Arg.(
-    value
-    & opt int Engine.default_config.Engine.retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retries (with exponential backoff) for transient failures; \
-           deterministic failures and timeouts are never retried.")
-
-let engine_config timeout_ms retries =
-  { Engine.default_config with Engine.timeout_ms; retries }
+let engine_config timeout_ms = { Engine.timeout_ms }
 
 let maybe_report eng metrics =
   if metrics then Format.printf "%s@." (Engine.report eng)
@@ -361,8 +350,8 @@ let demo_cmd =
 (* --- flm certify ---------------------------------------------------------- *)
 
 let certify_cmd =
-  let run problem n f full timeout_ms retries jobs metrics =
-    let config = engine_config timeout_ms retries in
+  let run problem n f full timeout_ms jobs metrics =
+    let config = engine_config timeout_ms in
     let print_cert cert =
       if full then Format.printf "%a@." Certificate.pp cert
       else Format.printf "%a@." Certificate.pp_summary cert;
@@ -471,21 +460,20 @@ let certify_cmd =
     (Cmd.info "certify"
        ~doc:"Generate an impossibility certificate on an inadequate graph.")
     Term.(
-      const run $ problem $ n $ f_arg $ full $ timeout_arg $ retries_arg
-      $ jobs_arg $ metrics_arg)
+      const run $ problem $ n $ f_arg $ full $ timeout_arg $ jobs_arg
+      $ metrics_arg)
 
 (* --- flm sweep ------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run n_max f_max timeout_ms retries jobs metrics store_dir resume profile
-      =
+  let run n_max f_max timeout_ms jobs metrics store_dir resume profile =
     let phases = Option.map (fun _ -> ref []) profile in
     let eng, specs =
       profiled phases "build" @@ fun () ->
       let store = Option.map open_store store_dir in
       let eng =
-        Engine.create ~jobs ~config:(engine_config timeout_ms retries) ?store
-          ~resume ()
+        Engine.create ~jobs ~config:(engine_config timeout_ms) ?store ~resume
+          ()
       in
       ( eng,
         List.map
@@ -535,20 +523,19 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Trace the 3f+1 boundary empirically.")
     Term.(
-      const run $ n_max_arg $ f_max_arg $ timeout_arg $ retries_arg $ jobs_arg
-      $ metrics_arg $ store_arg $ resume_arg $ profile_arg)
+      const run $ n_max_arg $ f_max_arg $ timeout_arg $ jobs_arg $ metrics_arg
+      $ store_arg $ resume_arg $ profile_arg)
 
 (* --- flm chaos ------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let run family f seed strategy trials timeout_ms retries jobs metrics
-      store_dir resume profile =
+  let run family f seed strategy trials timeout_ms jobs metrics store_dir
+      resume profile =
     let phases = Option.map (fun _ -> ref []) profile in
     let eng =
       profiled phases "build" @@ fun () ->
       let store = Option.map open_store store_dir in
-      Engine.create ~jobs ~config:(engine_config timeout_ms retries) ?store
-        ~resume ()
+      Engine.create ~jobs ~config:(engine_config timeout_ms) ?store ~resume ()
     in
     Format.printf
       "chaos: %d trial%s of %s against %s, f=%d, seed=%d (engine: %d worker \
@@ -615,8 +602,8 @@ let chaos_cmd =
           violations, and supervised failures.")
     Term.(
       const run $ family_arg $ f_arg $ fault_seed_arg $ strategy_arg
-      $ trials_arg $ timeout_arg $ retries_arg $ jobs_arg $ metrics_arg
-      $ store_arg $ resume_arg $ profile_arg)
+      $ trials_arg $ timeout_arg $ jobs_arg $ metrics_arg $ store_arg
+      $ resume_arg $ profile_arg)
 
 (* --- flm store ------------------------------------------------------------ *)
 
@@ -717,7 +704,7 @@ let socket_arg =
         ~doc:"The daemon's Unix domain socket path.")
 
 let serve_cmd =
-  let run socket jobs max_sessions timeout_ms retries store_dir resume quiet =
+  let run socket jobs max_sessions timeout_ms store_dir resume quiet =
     let cfg =
       {
         Serve.socket_path = socket;
@@ -725,7 +712,7 @@ let serve_cmd =
         store_dir;
         resume;
         max_sessions;
-        engine_config = engine_config timeout_ms retries;
+        engine_config = engine_config timeout_ms;
       }
     in
     let log =
@@ -762,7 +749,7 @@ let serve_cmd =
           sessions, then shut the engine and store down cleanly.")
     Term.(
       const run $ socket_arg $ jobs_arg $ max_sessions $ timeout_arg
-      $ retries_arg $ store_arg $ resume_arg $ quiet)
+      $ store_arg $ resume_arg $ quiet)
 
 (* One request per invocation: connect, send, print the result document as
    JSON, exit with the class code of any typed failure — the daemon's
@@ -967,7 +954,7 @@ let open_corpus dir =
   | Error e -> fail_error e
 
 let campaign_run_cmd =
-  let run spec_path dir jobs timeout_ms retries shard_timeout_ms shard_retries
+  let run spec_path dir jobs timeout_ms shard_timeout_ms shard_retries
       no_shrink =
     match Campaign_spec.load spec_path with
     | Error e -> fail_error e
@@ -977,7 +964,6 @@ let campaign_run_cmd =
         {
           Campaign.jobs = Some jobs;
           timeout_ms;
-          retries;
           shard_timeout_ms;
           shard_retries;
           shrink = not no_shrink;
@@ -1062,7 +1048,7 @@ let campaign_run_cmd =
           shard stores, and mine failures into the corpus.")
     Term.(
       const run $ spec_arg $ campaign_dir_arg $ jobs_arg $ timeout_arg
-      $ retries_arg $ shard_timeout $ shard_retries $ no_shrink)
+      $ shard_timeout $ shard_retries $ no_shrink)
 
 let campaign_status_cmd =
   let run dir =

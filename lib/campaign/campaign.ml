@@ -1,7 +1,6 @@
 type config = {
   jobs : int option;
   timeout_ms : int option;
-  retries : int;
   shard_timeout_ms : int option;
   shard_retries : int;
   shrink : bool;
@@ -11,7 +10,6 @@ let default_config =
   {
     jobs = None;
     timeout_ms = None;
-    retries = 2;
     shard_timeout_ms = None;
     shard_retries = 1;
     shrink = true;
@@ -47,10 +45,7 @@ let shard_jobs ~workers jobs w =
 
 (* --- the worker body (runs in the forked child) ----------------------------- *)
 
-let engine_config config =
-  { Engine.default_config with
-    Engine.timeout_ms = config.timeout_ms;
-    retries = config.retries }
+let engine_config config = { Engine.timeout_ms = config.timeout_ms }
 
 (* A worker's whole life: own journaled store, own engine, run the shard,
    exit.  Exit 0 means "the shard drained" — individual job failures are

@@ -4,7 +4,7 @@
     {b Execution model.}  The cube ({!Campaign_spec.enumerate}) is sharded
     round-robin over [spec.workers] forked worker processes.  Each worker
     opens its own journaled store under [<dir>/shards/<w>], builds its own
-    engine (domain pool, caches, per-job deadline/retry supervision) with
+    engine (domain pool, caches, per-job deadline supervision) with
     [resume = true], runs its shard, and exits — every completed trial is an
     fsync'd journal record before the worker moves on, so a worker killed at
     any point loses only its in-flight trials.  The parent never spawns a
@@ -37,14 +37,13 @@
 type config = {
   jobs : int option;  (** worker-engine domains; [None] = engine default *)
   timeout_ms : int option;  (** per-job deadline inside workers *)
-  retries : int;  (** per-job transient retries inside workers *)
   shard_timeout_ms : int option;  (** per-shard wall-clock deadline *)
   shard_retries : int;  (** re-forks for crashed shards *)
   shrink : bool;  (** minimize new corpus entries after the merge *)
 }
 
 val default_config : config
-(** No deadlines, 2 per-job retries, 1 shard retry, shrinking on. *)
+(** No deadlines, 1 shard retry, shrinking on. *)
 
 type shard_report = {
   shard : int;

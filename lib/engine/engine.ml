@@ -1,6 +1,6 @@
-type config = { timeout_ms : int option; retries : int; backoff_ms : int }
+type config = { timeout_ms : int option }
 
-let default_config = { timeout_ms = None; retries = 2; backoff_ms = 50 }
+let default_config = { timeout_ms = None }
 
 (* The out-of-the-box worker count: scale with the hardware, but capped.
    E18 measured the inverted curve — on grids the size we serve today,
@@ -26,8 +26,6 @@ let create ?jobs ?(cache_capacity = 4096) ?(config = default_config) ?store
     Flm_error.raise_error
       (Flm_error.Invalid_input { what = "engine config"; detail })
   in
-  if config.retries < 0 then reject "Engine.create: retries >= 0 required";
-  if config.backoff_ms < 0 then reject "Engine.create: backoff_ms >= 0 required";
   (match config.timeout_ms with
   | Some ms when ms < 1 -> reject "Engine.create: timeout_ms >= 1 required"
   | Some _ | None -> ());
@@ -81,11 +79,12 @@ let resume_find t job =
       | None -> None))
   | Some _ | None -> None
 
-let run_job t job =
+(* The memoized job body: verdict cache, then the persistent tier, then
+   execution.  Exceptions escape to [run_job_result], the one boundary. *)
+let compute t job =
   let t0 = Metrics.wall_now () in
   let v =
-    Exec_cache.find_or_run t.verdicts ~metrics:t.metrics (Job.key job)
-      (fun () ->
+    Exec_cache.find_or_run t.verdicts (Job.key job) (fun () ->
         match resume_find t job with
         | Some v -> v
         | None ->
@@ -97,40 +96,27 @@ let run_job t job =
   Metrics.record_job t.metrics ~seconds:(Metrics.wall_now () -. t0);
   v
 
-(* The supervised job boundary: per-job deadline, typed classification of
-   anything the job throws, bounded retry with exponential backoff for the
-   transient class.  Never raises — a poisoned job becomes an [Error]
-   verdict and the batch keeps draining.  The verdict cache only admits
-   successes ({!Exec_cache.find_or_run} inserts after the thunk returns), so
-   a timeout or failure is never replayed from cache. *)
+(* The supervised job boundary: per-job deadline and typed classification of
+   anything the job throws.  Never raises — a poisoned job becomes an
+   [Error] verdict and the batch keeps draining.  Jobs are deterministic, so
+   a failure is final: re-running it would fail the same way.  The verdict
+   cache only admits successes ({!Exec_cache.find_or_run} inserts after the
+   thunk returns), so a timeout or failure is never replayed from cache.
+   The label is built only when a deadline or an error needs it. *)
 let run_job_result t job =
-  let label = Job.label job in
-  let rec attempt k =
-    let outcome =
-      match
-        match t.config.timeout_ms with
-        | None -> run_job t job
-        | Some timeout_ms ->
-          Flm_error.Deadline.with_deadline ~job:label ~timeout_ms (fun () ->
-              run_job t job)
-      with
-      | v -> Ok v
-      | exception e -> Error (Flm_error.classify ~job:label e)
-    in
-    match outcome with
-    | Ok _ as ok -> ok
-    | Error e when Flm_error.retryable e && k < t.config.retries ->
-      Metrics.record_retry t.metrics;
-      if t.config.backoff_ms > 0 then
-        Unix.sleepf
-          (float_of_int (t.config.backoff_ms * (1 lsl k)) /. 1000.0);
-      attempt (k + 1)
-    | Error e ->
-      Metrics.record_failure t.metrics
-        ~timeout:(match e with Flm_error.Job_timeout _ -> true | _ -> false);
-      Error e
-  in
-  attempt 0
+  match
+    match t.config.timeout_ms with
+    | None -> compute t job
+    | Some timeout_ms ->
+      Flm_error.Deadline.with_deadline ~job:(Job.label job) ~timeout_ms
+        (fun () -> compute t job)
+  with
+  | v -> Ok v
+  | exception e ->
+    let e = Flm_error.classify ~job:(Job.label job) e in
+    Metrics.record_failure t.metrics
+      ~timeout:(match e with Flm_error.Job_timeout _ -> true | _ -> false);
+    Error e
 
 (* Batches dispatch largest-first ([Job.cost]) and report per-batch
    busy/span into the metrics, from which the scheduling-efficiency figure
@@ -141,13 +127,9 @@ let batch_costs jobs = Array.of_list (List.map Job.cost jobs)
 let batch_stats t { Pool.participants; busy_seconds; span_seconds } =
   Metrics.record_schedule t.metrics ~participants ~busy_seconds ~span_seconds
 
-let run_all t jobs =
-  Pool.map_list ~costs:(batch_costs jobs) ~on_stats:(batch_stats t) t.pool
-    (run_job t) jobs
-
 (* Worker closures return [result] and never raise, so one hostile job
    cannot take down the batch or perturb its ordering: outcomes land by
-   input index exactly as in {!run_all}. *)
+   input index. *)
 let run_all_results t jobs =
   Pool.map_list ~costs:(batch_costs jobs) ~on_stats:(batch_stats t) t.pool
     (run_job_result t) jobs
@@ -155,19 +137,27 @@ let run_all_results t jobs =
 let nf_jobs ~n_max ~f_max =
   List.map (fun (n, f) -> Job.Nf_cell { n; f }) (Sweep.nf_grid ~n_max ~f_max)
 
+(* The whole batch drains first; then the lowest failing index is raised as
+   a typed error, whichever domain hit it. *)
+let run_all_exn t jobs =
+  List.map
+    (function Ok v -> v | Error e -> Flm_error.raise_error e)
+    (run_all_results t jobs)
+
 let nf_boundary t ~n_max ~f_max =
   List.map
     (function
       | Job.Cell c -> c
       | Job.Conn _ | Job.Cert _ | Job.Chaos _ -> assert false)
-    (run_all t (nf_jobs ~n_max ~f_max))
+    (run_all_exn t (nf_jobs ~n_max ~f_max))
 
 let connectivity_boundary t ~f ~kappas ~n =
   List.map
     (function
       | Job.Conn r -> r
       | Job.Cell _ | Job.Cert _ | Job.Chaos _ -> assert false)
-    (run_all t (List.map (fun kappa -> Job.Conn_cell { kappa; n; f }) kappas))
+    (run_all_exn t
+       (List.map (fun kappa -> Job.Conn_cell { kappa; n; f }) kappas))
 
 let certify_result t ~problem ~n ~f =
   match run_job_result t (Job.Certify { problem; n; f }) with

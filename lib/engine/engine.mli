@@ -7,24 +7,27 @@
     are not cached on their own, so a cold grid executes every run once and
     a warm re-run executes nothing.
 
-    {b Determinism guarantee.}  For any job list, [run_all] with [jobs > 1]
-    returns exactly what the sequential path ([jobs = 1], or calling
-    {!Job.run} directly) returns, in the same order: jobs are pure functions
-    of their descriptions, workers write results by input index, and cached
-    results are by construction equal to recomputed ones.  [nf_boundary] and
-    [connectivity_boundary] are drop-in parallel equivalents of
-    {!Sweep.nf_boundary} and {!Sweep.connectivity_boundary}. *)
+    Every job runs through one supervised boundary ({!run_job_result}):
+    a per-job deadline and typed classification of whatever the job throws.
+    Jobs are pure functions of their descriptions, so a failed job is not
+    retried — a re-run would fail the same way.
+
+    {b Determinism guarantee.}  For any job list, [run_all_results] with
+    [jobs > 1] returns exactly what the sequential path ([jobs = 1], or
+    calling {!Job.run} directly) returns, in the same order: workers write
+    results by input index, and cached results are by construction equal to
+    recomputed ones.  [nf_boundary] and [connectivity_boundary] are drop-in
+    parallel equivalents of {!Sweep.nf_boundary} and
+    {!Sweep.connectivity_boundary}. *)
 
 type t
 
 type config = {
   timeout_ms : int option;  (** per-job deadline; [None] = no deadline *)
-  retries : int;  (** re-attempts for transient (retryable) failures *)
-  backoff_ms : int;  (** base backoff, doubled per attempt *)
 }
 
 val default_config : config
-(** No deadline, 2 retries, 50 ms base backoff. *)
+(** No deadline. *)
 
 val default_jobs : unit -> int
 (** The out-of-the-box worker count used whenever [jobs] is not given:
@@ -44,9 +47,9 @@ val create :
   t
 (** [jobs] defaults to {!default_jobs} ([Domain.recommended_domain_count]
     capped at 8); [1] forces the sequential path.  [cache_capacity]
-    (default 4096) bounds the verdict cache.  [config] governs the supervised
-    ([_result]) paths; raises [Flm_error.Error (Invalid_input _)] on
-    negative retries/backoff or a deadline below 1 ms.
+    (default 4096) bounds the verdict cache.  [config] sets the per-job
+    deadline of every job the engine runs; raises
+    [Flm_error.Error (Invalid_input _)] on a deadline below 1 ms.
 
     [store] attaches a persistent tier below the verdict cache: every
     successful, storable verdict ([Cell]/[Conn]/[Chaos] — not [Cert], which
@@ -64,32 +67,29 @@ val config : t -> config
 val store : t -> Store.t option
 (** The attached persistent tier, if any. *)
 
-val run_job : t -> Job.t -> Job.verdict
-(** Memoized: a re-run of an already-seen job is a cache hit and returns an
-    equal verdict without executing.  Unsupervised — exceptions escape. *)
-
 val run_job_result : t -> Job.t -> (Job.verdict, Flm_error.t) result
-(** The supervised job boundary.  Installs the configured per-job deadline
-    (cooperatively checked by the executor each round), classifies anything
-    thrown into {!Flm_error.t}, and retries the transient class
-    ([Worker_crashed]) with exponential backoff.  Never raises.  Failures
-    and timeouts are counted in {!Metrics} and never cached, so a later
-    retry with a looser deadline re-executes. *)
-
-val run_all : t -> Job.t list -> Job.verdict list
-(** Fan the batch out over the pool; verdicts come back in input order. *)
+(** The supervised job boundary.  Memoized: a re-run of an already-seen job
+    is a cache hit and returns an equal verdict without executing.  Installs
+    the configured per-job deadline (cooperatively checked by the executor
+    each round) and classifies anything thrown into {!Flm_error.t}.  Never
+    raises.  Failures and timeouts are counted in {!Metrics} and never
+    cached, so a later run with a looser deadline re-executes. *)
 
 val run_all_results : t -> Job.t list -> (Job.verdict, Flm_error.t) result list
-(** Supervised {!run_all}: a raising or deadline-blowing job yields
-    [Error _] in its slot while every other job still completes — same
-    order, same verdicts, regardless of the jobs count. *)
+(** Fan the batch out over the pool, each job through {!run_job_result}:
+    a raising or deadline-blowing job yields [Error _] in its slot while
+    every other job still completes — same order, same verdicts, regardless
+    of the jobs count. *)
 
 val nf_boundary : t -> n_max:int -> f_max:int -> Sweep.cell list
-(** Parallel, memoized {!Sweep.nf_boundary}: byte-identical cells. *)
+(** Parallel, memoized {!Sweep.nf_boundary}: byte-identical cells.  The
+    whole grid drains first; then the lowest-index failure, if any, is
+    raised as [Flm_error.Error _]. *)
 
 val connectivity_boundary :
   t -> f:int -> kappas:int list -> n:int -> (int * bool * bool option * bool option) list
-(** Parallel, memoized {!Sweep.connectivity_boundary}. *)
+(** Parallel, memoized {!Sweep.connectivity_boundary}; failures are raised
+    as in {!nf_boundary}. *)
 
 val certify_result :
   t -> problem:Job.cert_problem -> n:int -> f:int ->
@@ -117,6 +117,5 @@ val shutdown : t -> unit
     Long-lived processes that are done with an engine should call this to
     release its domains. *)
 
-val pp_report : Format.formatter -> t -> unit
 val report : t -> string
 (** The metrics report plus the verdict cache's occupancy. *)

@@ -492,5 +492,3 @@ let pp_verdict ppf = function
       (if c.survived then "survived" else "violated")
       (if c.survived then ""
        else Printf.sprintf ": %s" (String.concat " | " c.violations))
-
-let pp ppf job = Format.pp_print_string ppf (label job)

@@ -145,5 +145,4 @@ val verdict_of_value : Value.t -> verdict option
     = Some v] for storable verdicts); [None] on anything malformed — a
     store record that does not parse is treated as a miss, never trusted. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

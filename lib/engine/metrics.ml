@@ -2,7 +2,6 @@ type snapshot = {
   jobs_completed : int;
   jobs_failed : int;
   jobs_timed_out : int;
-  retries : int;
   degraded : int;
   cache_hits : int;
   cache_misses : int;
@@ -25,7 +24,6 @@ type t = {
   mutable jobs_completed : int;
   mutable jobs_failed : int;
   mutable jobs_timed_out : int;
-  mutable retries : int;
   mutable degraded : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -51,7 +49,6 @@ let create () =
     jobs_completed = 0;
     jobs_failed = 0;
     jobs_timed_out = 0;
-    retries = 0;
     degraded = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -78,7 +75,6 @@ let reset t =
       t.jobs_completed <- 0;
       t.jobs_failed <- 0;
       t.jobs_timed_out <- 0;
-      t.retries <- 0;
       t.degraded <- 0;
       t.cache_hits <- 0;
       t.cache_misses <- 0;
@@ -118,8 +114,6 @@ let record_failure t ~timeout =
       t.jobs_failed <- t.jobs_failed + 1;
       if timeout then t.jobs_timed_out <- t.jobs_timed_out + 1)
 
-let record_retry t = with_lock t (fun () -> t.retries <- t.retries + 1)
-
 let record_schedule t ~participants ~busy_seconds ~span_seconds =
   with_lock t (fun () ->
       t.sched_batches <- t.sched_batches + 1;
@@ -134,7 +128,6 @@ let snapshot t =
         jobs_completed = t.jobs_completed;
         jobs_failed = t.jobs_failed;
         jobs_timed_out = t.jobs_timed_out;
-        retries = t.retries;
         degraded = t.degraded;
         cache_hits = t.cache_hits;
         cache_misses = t.cache_misses;
@@ -167,14 +160,14 @@ let jobs_per_second (s : snapshot) =
 let pp_snapshot ppf (s : snapshot) =
   Format.fprintf ppf
     "@[<v>engine metrics:@   jobs completed:   %d (%.1f jobs/s over %.3f s \
-     elapsed)@   supervision:      %d failed (%d timeouts), %d retries, %d \
+     elapsed)@   supervision:      %d failed (%d timeouts), %d \
      degradations@   executions run:   %d@   cache:            %d hits / %d \
      misses / %d evictions / %d deduped (hit rate %.1f%%)@   store:            \
      %d resumed, %d recomputed, %d journal writes@   job wall-clock:   %.3f \
      s total, %.3f s max, %.3f s mean@   scheduling:       %d batches, %.3f \
      s busy / %.3f s capacity (efficiency %.1f%%)@]"
     s.jobs_completed (jobs_per_second s) s.elapsed_seconds s.jobs_failed
-    s.jobs_timed_out s.retries s.degraded s.executions_run s.cache_hits
+    s.jobs_timed_out s.degraded s.executions_run s.cache_hits
     s.cache_misses s.evictions s.dedups
     (100.0 *. hit_rate s)
     s.resumed s.recomputed s.store_writes
@@ -185,4 +178,3 @@ let pp_snapshot ppf (s : snapshot) =
     (100.0 *. scheduling_efficiency s)
 
 let pp_report ppf t = pp_snapshot ppf (snapshot t)
-let report t = Format.asprintf "%a" pp_report t

@@ -10,7 +10,6 @@ type snapshot = {
   jobs_completed : int;
   jobs_failed : int;  (** supervised jobs that ended in a typed error *)
   jobs_timed_out : int;  (** subset of [jobs_failed] that blew the deadline *)
-  retries : int;  (** re-attempts of transient ([Worker_crashed]) failures *)
   degraded : int;  (** pool degradations to the sequential path *)
   cache_hits : int;
   cache_misses : int;
@@ -69,7 +68,6 @@ val record_failure : t -> timeout:bool -> unit
 (** One supervised job gave up with a typed error; [timeout] marks deadline
     blows so they are counted in both [jobs_failed] and [jobs_timed_out]. *)
 
-val record_retry : t -> unit
 val record_degraded : t -> unit
 
 val record_schedule :
@@ -79,7 +77,6 @@ val record_schedule :
 
 val snapshot : t -> snapshot
 val hit_rate : snapshot -> float
-val jobs_per_second : snapshot -> float
 
 val scheduling_efficiency : snapshot -> float
 (** [busy / capacity] over the recorded batches, in [0, 1]: how close the
@@ -89,6 +86,5 @@ val scheduling_efficiency : snapshot -> float
 val wall_now : unit -> float
 (** Wall-clock seconds (gettimeofday); the clock used for job timing. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
 val pp_report : Format.formatter -> t -> unit
-val report : t -> string
+(** The multi-line engine report ([flm ... --metrics]). *)

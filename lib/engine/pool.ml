@@ -5,7 +5,6 @@
 type batch = {
   run : int -> unit;
   len : int;
-  chunk : int;
   order : int array;
       (* claim position -> item index; identity without costs, a
          largest-first permutation with them *)
@@ -24,7 +23,6 @@ type stats = {
 type t = {
   jobs : int;  (* requested parallelism, as configured *)
   workers : int;  (* worker domains to spawn: effective parallelism - 1 *)
-  chunk_hint : int option;
   on_degrade : (string -> unit) option;
   lock : Mutex.t;
   work_ready : Condition.t;  (* a new batch was published, or shutdown *)
@@ -43,11 +41,8 @@ type t = {
 let reject detail =
   Flm_error.raise_error (Flm_error.Invalid_input { what = "pool config"; detail })
 
-let create ?chunk ?(oversubscribe = false) ?on_degrade ~jobs () =
+let create ?(oversubscribe = false) ?on_degrade ~jobs () =
   if jobs < 1 then reject "Pool.create: jobs >= 1 required";
-  (match chunk with
-  | Some c when c < 1 -> reject "Pool.create: chunk >= 1 required"
-  | Some _ | None -> ());
   (* Domains beyond the hardware's recommendation never help: on an
      oversubscribed box every minor collection is a synchronization across
      domains the OS is time-slicing onto the same cores (E22 measured 2-4x
@@ -64,7 +59,6 @@ let create ?chunk ?(oversubscribe = false) ?on_degrade ~jobs () =
   {
     jobs;
     workers = effective - 1;
-    chunk_hint = chunk;
     on_degrade;
     lock = Mutex.create ();
     work_ready = Condition.create ();
@@ -87,18 +81,15 @@ let degrade t reason =
 
 exception Sabotaged
 
-(* Chunked self-scheduling: participants race on one fetch-and-add cursor and
-   peel off index ranges — no queue, no per-item lock traffic, and the work
+(* Self-scheduling: participants race on one fetch-and-add cursor and claim
+   one item at a time — no queue, no per-item lock traffic, and the work
    distribution adapts to however fast each participant happens to run. *)
-let claim_chunks ?(worker = false) t b =
+let claim_items ?(worker = false) t b =
   let rec go () =
-    let start = Atomic.fetch_and_add b.cursor b.chunk in
-    if start < b.len then begin
+    let pos = Atomic.fetch_and_add b.cursor 1 in
+    if pos < b.len then begin
       if worker && t.sabotage then raise Sabotaged;
-      let stop = min b.len (start + b.chunk) in
-      for i = start to stop - 1 do
-        b.run b.order.(i)
-      done;
+      b.run b.order.(pos);
       go ()
     end
   in
@@ -130,7 +121,7 @@ let worker_loop t =
            feeder after the join. *)
         let t0 = Unix.gettimeofday () in
         let crashed =
-          match claim_chunks ~worker:true t b with
+          match claim_items ~worker:true t b with
           | () -> false
           | exception _ -> true
         in
@@ -233,32 +224,22 @@ let map ?costs ?on_stats t f arr =
         sequential ()
       end
       else begin
-        (* Dispatch order.  Without costs: index order, chunked to amortize
-           cursor traffic over many small items.  With costs: largest-first
-           (a classic LPT-style greedy), one item per claim — the point is
-           to keep a straggler from landing last on an otherwise-drained
-           batch, so the biggest jobs must go out first and singly. *)
-        let order, chunk =
-          match costs with
-          | None ->
-            let even = max 1 (len / ((t.workers + 1) * 4)) in
-            let chunk =
-              match t.chunk_hint with Some c -> min c even | None -> even
-            in
-            Array.init len Fun.id, chunk
-          | Some c ->
-            let ord = Array.init len Fun.id in
+        (* Dispatch order.  Without costs: index order.  With costs:
+           largest-first (a classic LPT-style greedy) — the point is to keep
+           a straggler from landing last on an otherwise-drained batch, so
+           the biggest jobs must go out first. *)
+        let order = Array.init len Fun.id in
+        Option.iter
+          (fun c ->
             Array.sort
               (fun i j ->
                 match compare c.(j) c.(i) with 0 -> compare i j | d -> d)
-              ord;
-            ord, 1
-        in
+              order)
+          costs;
         let b =
           {
             run;
             len;
-            chunk;
             order;
             cursor = Atomic.make 0;
             joined = 0;
@@ -277,7 +258,7 @@ let map ?costs ?on_stats t f arr =
         (* The feeder is a full participant, so the cursor always drains
            even with zero healthy workers; [run] never raises. *)
         let t0 = Unix.gettimeofday () in
-        claim_chunks t b;
+        claim_items t b;
         let feeder_busy = ref (Unix.gettimeofday () -. t0) in
         (* Join: wait until every worker that entered the batch has left it.
            A dying worker still counts itself out (see [worker_loop]), so

@@ -1,5 +1,5 @@
-(** A persistent domain-based worker pool with chunked self-scheduling
-    dispatch and deterministic result ordering.
+(** A persistent domain-based worker pool with self-scheduling dispatch and
+    deterministic result ordering.
 
     [create ~jobs] sizes the pool at [jobs] computational participants: the
     calling domain plus [jobs - 1] persistent worker domains, spawned once
@@ -15,7 +15,7 @@
     measurements).
 
     [map] publishes an index-addressed batch; every participant (workers
-    {e and} the calling domain) claims index ranges off a single
+    {e and} the calling domain) claims one item at a time off a single
     [Atomic.fetch_and_add] cursor, writes results into per-index slots, and
     the call returns once every worker that entered the batch has left it —
     so results arrive in input order regardless of scheduling, no work
@@ -60,20 +60,17 @@ type stats = {
 }
 
 val create :
-  ?chunk:int ->
   ?oversubscribe:bool ->
   ?on_degrade:(string -> unit) ->
   jobs:int ->
   unit ->
   t
-(** [chunk] caps the number of indices handed out per cursor claim (default:
-    [len / (effective jobs * 4)], at least 1) — lower it to stress
-    interleaving in tests.  [oversubscribe] (default [false]) lifts the
-    hardware cap on worker domains described above.  [on_degrade] is called
+(** [oversubscribe] (default [false]) lifts the hardware cap on worker
+    domains described above.  [on_degrade] is called
     (from the submitting domain) with a reason each time the pool has to
     fall back toward the sequential path; the hardware cap itself is policy,
     not degradation, and is never reported.  Raises
-    [Flm_error.Error (Invalid_input _)] when [jobs] or [chunk] is below 1.
+    [Flm_error.Error (Invalid_input _)] when [jobs] is below 1.
     No domain is spawned until the first parallel [map]. *)
 
 val jobs : t -> int
@@ -83,11 +80,11 @@ val jobs : t -> int
 val map :
   ?costs:int array -> ?on_stats:(stats -> unit) -> t -> ('a -> 'b) ->
   'a array -> 'b array
-(** [costs] (same length as the batch, validated) switches dispatch from
-    uniform chunking to cost-aware self-scheduling: participants claim items
-    {e largest cost first}, one per cursor claim, so the most expensive item
-    starts as early as possible and cannot become the lone straggler of an
-    otherwise-drained batch.  Costs are relative — only their order matters.
+(** Participants claim items in index order, one per cursor claim.  [costs]
+    (same length as the batch, validated) switches to cost-aware
+    self-scheduling: items are claimed {e largest cost first}, so the most
+    expensive item starts as early as possible and cannot become the lone
+    straggler of an otherwise-drained batch.  Costs are relative — only their order matters.
     Results still land in input order and error propagation is unchanged.
 
     [on_stats] receives one {!stats} record per batch (from the calling
@@ -105,6 +102,6 @@ val shutdown : t -> unit
 (**/**)
 
 val sabotage_workers_for_testing : t -> unit
-(** Test hook: every worker dies on its next chunk claim (after the claim,
+(** Test hook: every worker dies on its next claim (after the claim,
     before computing it), stranding the claimed items — forces the
     worker-loss drain path.  The calling domain is unaffected. *)

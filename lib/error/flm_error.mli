@@ -8,12 +8,11 @@
     {!Error} internally, which supervision catches and classifies at the job
     boundary.
 
-    Classification matters for retry policy: {!retryable} is [true] only for
-    failures that can plausibly succeed on a re-run ([Worker_crashed] —
-    resource exhaustion, a lost domain).  Deterministic failures
-    ([Job_failed], [Invalid_input], [Axiom_violation]) and deadline blows
-    ([Job_timeout]) are permanent: the engine reports them as verdicts and
-    keeps draining the batch. *)
+    The engine never retries a job: jobs are deterministic, so a re-run
+    fails the same way, and it reports every failure as a verdict and keeps
+    draining the batch.  {!retryable} marks the one class a fresh process
+    can cure ([Worker_crashed] — a worker that died): the campaign driver
+    re-forks such shards, and the resilient client retries such answers. *)
 
 type t =
   | Invalid_input of { what : string; detail : string }
@@ -25,8 +24,8 @@ type t =
   | Job_timeout of { job : string; timeout_ms : int }
       (** The job exceeded its per-job deadline (see {!Deadline}). *)
   | Worker_crashed of { detail : string }
-      (** A worker domain could not be spawned or died abnormally — the only
-          transient class; supervised runs retry it with backoff. *)
+      (** A worker domain or process could not be started or died
+          abnormally — the only transient class (see {!retryable}). *)
   | Axiom_violation of { axiom : string; detail : string }
       (** The fault-injection harness found a run where the Locality or
           Fault axiom did not hold — a model bug, never a user error. *)
@@ -49,7 +48,8 @@ exception Error of t
     it at the job boundary and returns the payload. *)
 
 val retryable : t -> bool
-(** [true] exactly for [Worker_crashed]. *)
+(** [true] exactly for [Worker_crashed].  The campaign driver re-forks a
+    shard whose worker process crashed; the engine never re-runs a job. *)
 
 val exit_code : t -> int
 (** The stable process exit code for the class: [Invalid_input] 10,
@@ -80,7 +80,7 @@ val guard : what:string -> (unit -> 'a) -> ('a, t) result
 
 val classify : job:string -> exn -> t
 (** The supervision classifier: [Error e] unwraps to [e];
-    [Out_of_memory]/[Stack_overflow] become [Worker_crashed] (transient);
+    [Out_of_memory]/[Stack_overflow] become [Worker_crashed];
     everything else becomes [Job_failed]. *)
 
 (** Per-domain job deadlines, cooperatively checked.

@@ -99,11 +99,6 @@ let induced g us =
   in
   make ~n:(Array.length back) edges, back
 
-let inedge_border g us =
-  let inside = Array.make g.size false in
-  List.iter (fun u -> inside.(u) <- true) us;
-  List.filter (fun (u, v) -> (not inside.(u)) && inside.(v)) (directed_edges g)
-
 let distances g src =
   if not (is_node g src) then invalid_arg "Graph.distances: bad node";
   let dist = Array.make g.size max_int in

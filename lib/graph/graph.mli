@@ -41,10 +41,6 @@ val induced : t -> node list -> t * node array
 (** [induced g us] is the subgraph induced by [us] with nodes renumbered
     [0..]; the array maps new ids back to old ids. *)
 
-val inedge_border : t -> node list -> (node * node) list
-(** Directed edges from outside the set into the set — the paper's inedge
-    border of [G_U]. *)
-
 val is_connected : t -> bool
 
 val distances : t -> node -> int array

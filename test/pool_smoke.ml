@@ -3,7 +3,7 @@
 
    - randomized differential property: [Pool.map] over a long-lived pool
      must equal [Array.map] (results and ordering) across random batch
-     sizes, jobs counts, and chunk hints — including batches raising at
+     sizes and jobs counts — including batches raising at
      random indices, where the lowest failing index must be the one
      re-raised;
    - reuse: consecutive batches through one pool stay correct (the
@@ -31,10 +31,9 @@ let differential () =
   let rng = Random.State.make [| 0x9e3779b9 |] in
   List.iter
     (fun jobs ->
-      let chunk = 1 + Random.State.int rng 4 in
-      let pool = Pool.create ~jobs ~chunk ~oversubscribe:true () in
-      (* Many batches through the same pool: sizes around the chunking edge
-         cases (0, 1, chunk, jobs*chunk, and well past them). *)
+      let pool = Pool.create ~jobs ~oversubscribe:true () in
+      (* Many batches through the same pool: sizes around the edge cases
+         (0, 1, jobs, and well past them). *)
       for trial = 1 to 25 do
         let len = Random.State.int rng 120 in
         let arr = Array.init len (fun _ -> Random.State.int rng 1000) in
@@ -101,7 +100,7 @@ let worker_loss () =
   let rec attempt k =
     let degradations = ref [] in
     let pool =
-      Pool.create ~jobs:4 ~chunk:2 ~oversubscribe:true
+      Pool.create ~jobs:4 ~oversubscribe:true
         ~on_degrade:(fun r -> degradations := r :: !degradations)
         ()
     in

@@ -20,28 +20,35 @@ let determinism () =
   check tbool "parallel connectivity = Sweep.connectivity_boundary" true
     (Engine.connectivity_boundary par ~f:1 ~kappas:[ 2; 3 ] ~n:7
     = conn_reference);
-  (* run_all over mixed jobs preserves input order. *)
+  (* A batch of mixed jobs preserves input order. *)
   let jobs =
     [ Job.Nf_cell { n = 4; f = 1 };
       Job.Nf_cell { n = 3; f = 1 };
       Job.Conn_cell { kappa = 2; n = 7; f = 1 };
     ]
   in
-  let via_par = Engine.run_all par jobs in
+  let via_par = Engine.run_all_results par jobs in
   let via_seq = List.map (fun j -> Job.run j) jobs in
   check tbool "mixed batch ordered and equal" true
-    (List.for_all2 Job.equal_verdict via_par via_seq)
+    (List.for_all2
+       (fun r v -> match r with Ok r -> Job.equal_verdict r v | Error _ -> false)
+       via_par via_seq)
 
 (* (b) Cache correctness: a memoized re-run of the same job returns an equal
    certificate and records a cache hit without re-executing. *)
 let cache_correctness () =
   let eng = Engine.create ~jobs:1 () in
   let job = Job.Certify { problem = Job.Ba; n = 3; f = 1 } in
-  let v1 = Engine.run_job eng job in
+  let run () =
+    match Engine.run_job_result eng job with
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Flm_error.to_string e)
+  in
+  let v1 = run () in
   let executions_after_first =
     (Metrics.snapshot (Engine.metrics eng)).Metrics.executions_run
   in
-  let v2 = Engine.run_job eng job in
+  let v2 = run () in
   check tbool "verdicts equal" true (Job.equal_verdict v1 v2);
   (match v1 with
   | Job.Cert c ->
@@ -61,7 +68,7 @@ let cache_correctness () =
 (* (c) LRU eviction: the cache never exceeds its capacity and evicts the
    least-recently-used key first. *)
 let lru_eviction () =
-  let cache = Exec_cache.create ~capacity:2 ~stripes:1 () in
+  let cache = Exec_cache.create ~capacity:2 () in
   let computed = ref 0 in
   let get i =
     Exec_cache.find_or_run cache
@@ -90,9 +97,9 @@ let lru_eviction () =
    in LRU order, alongside the hits and misses find_or_run records. *)
 let eviction_metrics () =
   let metrics = Metrics.create () in
-  let cache = Exec_cache.create ~capacity:2 ~stripes:1 ~metrics () in
+  let cache = Exec_cache.create ~capacity:2 ~metrics () in
   let get i =
-    Exec_cache.find_or_run cache ~metrics
+    Exec_cache.find_or_run cache
       (Fingerprint.intern (Value.int i))
       (fun () -> i * 10)
   in
@@ -132,7 +139,7 @@ let structural_keys () =
     (Exec_cache.find_opt cache k2 = Some 42);
   let ran = ref false in
   let v =
-    Exec_cache.find_or_run cache ~metrics
+    Exec_cache.find_or_run cache
       (Fingerprint.intern (desc ()))
       (fun () ->
         ran := true;
@@ -150,8 +157,8 @@ let structural_keys () =
    thunk.  The leader's thunk is gated on an atomic so the follower
    provably arrives mid-flight. *)
 let single_flight () =
-  let cache = Exec_cache.create ~capacity:16 () in
   let metrics = Metrics.create () in
+  let cache = Exec_cache.create ~capacity:16 ~metrics () in
   let key = Fingerprint.intern (Value.string "single-flight-test") in
   let runs = Atomic.make 0 in
   let release = Atomic.make false in
@@ -163,7 +170,7 @@ let single_flight () =
     42
   in
   let leader =
-    Domain.spawn (fun () -> Exec_cache.find_or_run cache ~metrics key thunk)
+    Domain.spawn (fun () -> Exec_cache.find_or_run cache key thunk)
   in
   while Atomic.get runs = 0 do
     Domain.cpu_relax ()
@@ -172,7 +179,7 @@ let single_flight () =
   let follower =
     Domain.spawn (fun () ->
         Atomic.set about true;
-        Exec_cache.find_or_run cache ~metrics key thunk)
+        Exec_cache.find_or_run cache key thunk)
   in
   while not (Atomic.get about) do
     Domain.cpu_relax ()
@@ -247,7 +254,7 @@ let cold_sweep_lookups () =
     snap.Metrics.executions_run
 
 let pool_ordering () =
-  let pool = Pool.create ~jobs:4 ~chunk:3 ~oversubscribe:true () in
+  let pool = Pool.create ~jobs:4 ~oversubscribe:true () in
   let arr = Array.init 100 Fun.id in
   check tbool "map preserves input order" true
     (Pool.map pool (fun x -> x * x) arr = Array.map (fun x -> x * x) arr);

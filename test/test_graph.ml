@@ -1,5 +1,5 @@
 (* Tests for Graph and Topology: construction invariants, induced subgraphs,
-   borders, and the standard families' degree/size facts. *)
+   and the standard families' degree/size facts. *)
 
 let check = Alcotest.check
 let tint = Alcotest.int
@@ -36,12 +36,25 @@ let induced_subgraph () =
   check tint "induced edges" 3 (Graph.edge_count sub);
   check ilist "back map" [ 1; 3; 4 ] (Array.to_list back)
 
-let border () =
-  let g = Topology.cycle 5 in
-  let b = Graph.inedge_border g [ 0; 1 ] in
-  (* Inedges into {0,1}: 4 -> 0 and 2 -> 1. *)
-  check tbool "border" true
-    (List.sort compare b = [ 2, 1; 4, 0 ])
+let induced_edges () =
+  (* Every directed edge of the subgraph maps back to an edge of [g] between
+     kept nodes, and every such edge of [g] appears in the subgraph. *)
+  let g = Topology.cycle 6 in
+  let kept = [ 0; 1; 2; 4 ] in
+  let sub, back = Graph.induced g kept in
+  let mapped =
+    List.sort compare
+      (List.map (fun (u, v) -> back.(u), back.(v)) (Graph.directed_edges sub))
+  in
+  let expected =
+    List.sort compare
+      (List.filter
+         (fun (u, v) -> List.mem u kept && List.mem v kept)
+         (Graph.directed_edges g))
+  in
+  check tbool "induced edges map back" true (mapped = expected);
+  check tbool "C6 minus {3,5} edges" true
+    (expected = [ 0, 1; 1, 0; 1, 2; 2, 1 ])
 
 let distances () =
   let g = Topology.path 5 in
@@ -137,7 +150,7 @@ let suite =
     [ Alcotest.test_case "construction" `Quick basic_construction;
       Alcotest.test_case "rejects bad edges" `Quick rejects_bad_edges;
       Alcotest.test_case "induced subgraph" `Quick induced_subgraph;
-      Alcotest.test_case "inedge border" `Quick border;
+      Alcotest.test_case "induced edges" `Quick induced_edges;
       Alcotest.test_case "distances" `Quick distances;
       Alcotest.test_case "complete" `Quick complete_family;
       Alcotest.test_case "cycle" `Quick cycle_family;

@@ -72,7 +72,7 @@ let deadlines () =
 (* (c) The pool under hostile tasks: per-item exception capture, lowest
    failing index re-raised, healthy items all complete, order stress. *)
 let hostile_pool () =
-  let pool = Pool.create ~jobs:4 ~chunk:2 ~oversubscribe:true () in
+  let pool = Pool.create ~jobs:4 ~oversubscribe:true () in
   let done_ = Array.make 12 false in
   (match
      Pool.map pool
@@ -116,7 +116,7 @@ let supervised_batch () =
   in
   let run jobs =
     Engine.create ~jobs
-      ~config:{ Engine.default_config with Engine.timeout_ms = Some 60 }
+      ~config:{ Engine.timeout_ms = Some 60 }
       ()
     |> fun eng -> eng, Engine.run_all_results eng batch
   in
@@ -143,28 +143,40 @@ let supervised_batch () =
   check tbool "warm re-run reproduces outcomes" true
     (List.for_all2 equal_outcome seq warm)
 
-(* (e) Unsupervised vs supervised semantics on the same engine: run_job
-   raises, run_job_result returns the payload. *)
+(* (e) The one job boundary: a poisoned job comes back as its typed payload,
+   the grid entry points raise the lowest failing index as a typed error
+   once the batch drains, and config validation is typed too. *)
 let supervision_boundary () =
   let eng = Engine.create ~jobs:1 () in
   let poisoned =
     Job.Chaos_trial
       { family = "complete:4"; f = 1; seed = 5; strategy = "poison"; trial = 9 }
   in
-  (match Engine.run_job eng poisoned with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "unsupervised run should raise");
   (match Engine.run_job_result eng poisoned with
   | Error (Flm_error.Job_failed { exn; _ }) ->
     check tbool "failure payload names the poison step" true
       (String.length exn > 0)
   | _ -> Alcotest.fail "supervised run should return Job_failed");
-  (* Config validation is typed too. *)
-  match
-    Engine.create ~config:{ Engine.default_config with Engine.retries = -1 } ()
-  with
+  (* Kappas 0 and 9 are not Harary degrees for n = 7; 0 comes first. *)
+  let par = Engine.create ~jobs:2 () in
+  let raised =
+    match
+      Engine.connectivity_boundary par ~f:1 ~kappas:[ 2; 0; 3; 9 ] ~n:7
+    with
+    | _ -> None
+    | exception e -> Some e
+  in
+  Engine.shutdown par;
+  (match raised with
+  | Some (Flm_error.Error (Flm_error.Job_failed { job; _ })) ->
+    check Alcotest.string "lowest failing index, typed"
+      "conn-cell(harary:0:7,f=1)" job
+  | Some e ->
+    Alcotest.failf "untyped exception escaped: %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "a failing cell should raise");
+  match Engine.create ~config:{ Engine.timeout_ms = Some 0 } () with
   | exception Flm_error.Error (Flm_error.Invalid_input _) -> ()
-  | _ -> Alcotest.fail "negative retries should be rejected"
+  | _ -> Alcotest.fail "a deadline below 1 ms should be rejected"
 
 let suite =
   ( "supervision",
