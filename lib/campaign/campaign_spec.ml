@@ -74,72 +74,26 @@ let make ~name ?(seed = 1) ?(trials = 1) ?(workers = 2) ~protocols ~strategies
 
 (* --- JSON ------------------------------------------------------------------- *)
 
-let field_names =
-  [ "name"; "seed"; "trials"; "workers"; "protocols"; "strategies";
-    "families"; "n_max"; "f_max" ]
-
 let of_json json =
   let ( let* ) = Result.bind in
-  let* kvs =
-    match json with
-    | Bench_json.Obj kvs -> Ok kvs
-    | _ -> Error (invalid "campaign spec" "expected a JSON object")
-  in
+  let module Read = Bench_json.Read in
+  let* o = Read.obj ~fail:(invalid "campaign spec") json in
   let* () =
-    List.fold_left
-      (fun acc (k, _) ->
-        let* () = acc in
-        if List.mem k field_names then Ok ()
-        else Error (invalid "campaign spec" (Printf.sprintf "unknown field %S" k)))
-      (Ok ()) kvs
+    Read.only o
+      [ "name"; "seed"; "trials"; "workers"; "protocols"; "strategies";
+        "families"; "n_max"; "f_max" ]
   in
-  let missing k = invalid "campaign spec" (Printf.sprintf "missing field %S" k) in
-  let bad k what = invalid "campaign spec" (Printf.sprintf "field %S: %s" k what) in
-  let int_field ?default k =
-    match List.assoc_opt k kvs, default with
-    | None, Some d -> Ok d
-    | None, None -> Error (missing k)
-    | Some v, _ -> (
-      match Bench_json.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (bad k "expected an integer"))
-  in
-  let string_field k =
-    match List.assoc_opt k kvs with
-    | None -> Error (missing k)
-    | Some v -> (
-      match Bench_json.to_string_opt v with
-      | Some s -> Ok s
-      | None -> Error (bad k "expected a string"))
-  in
-  let string_list_field k =
-    match List.assoc_opt k kvs with
-    | None -> Error (missing k)
-    | Some v -> (
-      match Bench_json.to_list_opt v with
-      | None -> Error (bad k "expected a list of strings")
-      | Some items ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            match Bench_json.to_string_opt item with
-            | Some s -> Ok (s :: acc)
-            | None -> Error (bad k "expected a list of strings"))
-          (Ok []) items
-        |> Result.map List.rev)
-  in
-  let* name = string_field "name" in
-  let* seed = int_field ~default:1 "seed" in
-  let* trials = int_field ~default:1 "trials" in
-  let* workers = int_field ~default:2 "workers" in
-  let* protocols = string_list_field "protocols" in
-  let* strategies = string_list_field "strategies" in
-  let* families = string_list_field "families" in
-  let* n_max = int_field "n_max" in
-  let* f_max = int_field "f_max" in
-  validate
-    { name; seed; trials; workers; protocols; strategies; families; n_max;
-      f_max }
+  let* name = Read.string o "name" in
+  let* seed = Read.int_opt o "seed" in
+  let* trials = Read.int_opt o "trials" in
+  let* workers = Read.int_opt o "workers" in
+  let* protocols = Read.strings o "protocols" in
+  let* strategies = Read.strings o "strategies" in
+  let* families = Read.strings o "families" in
+  let* n_max = Read.int o "n_max" in
+  let* f_max = Read.int o "f_max" in
+  make ~name ?seed ?trials ?workers ~protocols ~strategies ~families ~n_max
+    ~f_max ()
 
 let to_json t =
   let strings l = Bench_json.List (List.map (fun s -> Bench_json.String s) l) in

@@ -19,8 +19,7 @@ type t = {
   resume : bool;
 }
 
-let create ?jobs ?(cache_capacity = 4096) ?(config = default_config) ?store
-    ?(resume = false) () =
+let create ?jobs ?(config = default_config) ?store ?(resume = false) () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let reject detail =
     Flm_error.raise_error
@@ -35,7 +34,7 @@ let create ?jobs ?(cache_capacity = 4096) ?(config = default_config) ?store
       Pool.create ~jobs
         ~on_degrade:(fun _reason -> Metrics.record_degraded metrics)
         ();
-    verdicts = Exec_cache.create ~capacity:cache_capacity ~metrics ();
+    verdicts = Exec_cache.create ~metrics ();
     metrics;
     config;
     store;

@@ -39,15 +39,14 @@ val default_jobs : unit -> int
 
 val create :
   ?jobs:int ->
-  ?cache_capacity:int ->
   ?config:config ->
   ?store:Store.t ->
   ?resume:bool ->
   unit ->
   t
 (** [jobs] defaults to {!default_jobs} ([Domain.recommended_domain_count]
-    capped at 8); [1] forces the sequential path.  [cache_capacity]
-    (default 4096) bounds the verdict cache.  [config] sets the per-job
+    capped at 8); [1] forces the sequential path.  The verdict cache holds
+    {!Exec_cache}'s default 4096 entries.  [config] sets the per-job
     deadline of every job the engine runs; raises
     [Flm_error.Error (Invalid_input _)] on a deadline below 1 ms.
 

@@ -61,16 +61,6 @@ let undirected_edges g =
   done;
   !acc
 
-let directed_edges g =
-  let acc = ref [] in
-  for u = g.size - 1 downto 0 do
-    let row = g.adj.(u) in
-    for i = Array.length row - 1 downto 0 do
-      acc := (u, row.(i)) :: !acc
-    done
-  done;
-  !acc
-
 let edge_count g = List.length (undirected_edges g)
 
 let equal g h =

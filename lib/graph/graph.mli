@@ -29,9 +29,6 @@ val is_node : t -> node -> bool
 val undirected_edges : t -> (node * node) list
 (** Each pair once, [(u,v)] with [u < v], lexicographic. *)
 
-val directed_edges : t -> (node * node) list
-(** Both directions of every edge. *)
-
 val edge_count : t -> int
 (** Number of undirected edges. *)
 

@@ -265,6 +265,82 @@ let to_float_opt = function
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list_opt = function List vs -> Some vs | _ -> None
 
+(* --- strict readers -------------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+module Read = struct
+  type 'e obj = { fail : string -> 'e; kvs : (string * t) list }
+
+  let obj ~fail = function
+    | Obj kvs -> Ok { fail; kvs }
+    | _ -> Error (fail "expected an object")
+
+  let fail o detail = Error (o.fail detail)
+
+  let only o allowed =
+    match List.find_opt (fun (k, _) -> not (List.mem k allowed)) o.kvs with
+    | Some (k, _) -> fail o (Printf.sprintf "unknown field %S" k)
+    | None -> Ok ()
+
+  let missing o k = fail o (Printf.sprintf "missing field %S" k)
+  let wrong o k what = fail o (Printf.sprintf "field %S must be %s" k what)
+
+  let field o k =
+    match List.assoc_opt k o.kvs with Some v -> Ok v | None -> missing o k
+
+  (* A required field read through [conv]; [what] names the type it needs. *)
+  let typed what conv o k =
+    match List.assoc_opt k o.kvs with
+    | Some v -> ( match conv v with Some x -> Ok x | None -> wrong o k what)
+    | None -> missing o k
+
+  let int o k = typed "an integer" to_int_opt o k
+  let number o k = typed "a number" to_float_opt o k
+  let string o k = typed "a string" to_string_opt o k
+  let list o k = typed "a list" to_list_opt o k
+  let bool o k = typed "a boolean" (function Bool b -> Some b | _ -> None) o k
+
+  let bool_or_null o k =
+    typed "a boolean or null"
+      (function Bool b -> Some (Some b) | Null -> Some None | _ -> None)
+      o k
+
+  let int_opt o k =
+    match List.assoc_opt k o.kvs with
+    | Some (Int i) -> Ok (Some i)
+    | Some _ -> wrong o k "an integer"
+    | None -> Ok None
+
+  let enum o k of_string =
+    let* s = string o k in
+    match of_string s with
+    | Some v -> Ok v
+    | None -> fail o (Printf.sprintf "field %S: unknown value %S" k s)
+
+  let entries o k what conv =
+    let* vs = list o k in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | v :: vs -> (
+        match conv v with
+        | Some x -> go (x :: acc) vs
+        | None -> fail o (Printf.sprintf "%s entries must be %s" k what))
+    in
+    go [] vs
+
+  let ints o k = entries o k "integers" to_int_opt
+  let strings o k = entries o k "strings" to_string_opt
+
+  let all rs =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | Ok x :: rs -> go (x :: acc) rs
+      | Error e :: _ -> Error e
+    in
+    go [] rs
+end
+
 (* --- the bench-record schema ----------------------------------------------- *)
 
 let schema_version = 1
@@ -290,28 +366,20 @@ let bench_record ~experiment ~config ?(derived = []) ~runs () =
     @ match derived with [] -> [] | d -> [ "derived", Obj d ])
 
 let validate v =
-  let ( let* ) = Result.bind in
-  let require what o = Option.to_result ~none:what o in
-  let* _ = require "experiment: string field required" (Option.bind (member "experiment" v) to_string_opt) in
-  let* _ =
-    require "schema_version: int field required"
-      (Option.bind (member "schema_version" v) to_int_opt)
-  in
-  let* _ =
-    require "config: object field required"
-      (match member "config" v with Some (Obj _ as o) -> Some o | _ -> None)
-  in
-  let* runs = require "runs: list field required" (Option.bind (member "runs" v) to_list_opt) in
-  if runs = [] then Error "runs: at least one run required"
+  let* o = Read.obj ~fail:(fun d -> "bench record: " ^ d) v in
+  let* _ = Read.string o "experiment" in
+  let* _ = Read.int o "schema_version" in
+  let* config = Read.field o "config" in
+  let* _ = Read.obj ~fail:(fun d -> "config: " ^ d) config in
+  let* runs = Read.list o "runs" in
+  if runs = [] then Read.fail o "runs: at least one run required"
   else
     List.fold_left
       (fun acc run ->
         let* () = acc in
-        let* _ = require "run.label: string required" (Option.bind (member "label" run) to_string_opt) in
-        let* _ = require "run.jobs: int required" (Option.bind (member "jobs" run) to_int_opt) in
-        let* s =
-          require "run.wall_seconds: number required"
-            (Option.bind (member "wall_seconds" run) to_float_opt)
-        in
-        if s < 0.0 then Error "run.wall_seconds: negative" else Ok ())
+        let* r = Read.obj ~fail:(fun d -> "run: " ^ d) run in
+        let* _ = Read.string r "label" in
+        let* _ = Read.int r "jobs" in
+        let* s = Read.number r "wall_seconds" in
+        if s < 0.0 then Read.fail r "field \"wall_seconds\" must not be negative" else Ok ())
       (Ok ()) runs

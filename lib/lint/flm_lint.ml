@@ -71,14 +71,8 @@ let rec ml_files path =
   | _ -> []
   | exception Unix.Unix_error _ -> []
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let check_file path =
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | source -> check_source ~path source
   | exception Sys_error detail ->
     ( [ Lint_rule.finding ~rule:Lint_rule.Lint_parse ~file:path ~line:1 ~col:0
@@ -171,7 +165,7 @@ let run_deep ?(use_cache = true) ?cache_dir ?baseline ?write_baseline ~paths
   let entries =
     List.map
       (fun path ->
-        match read_file path with
+        match In_channel.with_open_bin path In_channel.input_all with
         | exception Sys_error detail ->
           incr misses;
           unreadable_entry path detail

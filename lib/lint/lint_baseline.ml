@@ -27,44 +27,33 @@ let to_json findings =
 
 let write ~path findings = write_file ~path (to_json findings)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Unlike the cache, a baseline that fails to load is an error, not a cold
-   start: silently ignoring it would resurface every baselined finding and
-   fail CI for the wrong reason. *)
+   start: silently ignoring it — or any one malformed entry in it — would
+   resurface baselined findings and fail CI for the wrong reason. *)
 let load path =
-  match read_file path with
+  let ( let* ) = Result.bind in
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error detail -> Error detail
-  | raw -> (
-    match parse raw with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> (
-      match Option.bind (member "schema_version" j) to_int_opt with
-      | Some v when v = schema_version -> (
-        match Option.bind (member "findings" j) to_list_opt with
-        | None -> Error (path ^ ": missing findings list")
-        | Some items ->
-          let keys =
-            List.filter_map
-              (fun item ->
-                match
-                  ( Option.bind (member "rule" item) to_string_opt,
-                    Option.bind (member "file" item) to_string_opt,
-                    Option.bind (member "line" item) to_int_opt )
-                with
-                | Some r, Some f, Some l -> Some ((r, f, l) : key)
-                | _ -> None)
-              items
-          in
-          Ok keys)
-      | Some v ->
-        Error (Printf.sprintf "%s: schema_version %d, expected %d" path v
-                 schema_version)
-      | None -> Error (path ^ ": missing schema_version")))
+  | raw ->
+    let* j = Result.map_error (Printf.sprintf "%s: %s" path) (parse raw) in
+    let* o = Read.obj ~fail:(Printf.sprintf "%s: %s" path) j in
+    let* v = Read.int o "schema_version" in
+    if v <> schema_version then
+      Read.fail o
+        (Printf.sprintf "schema_version %d, expected %d" v schema_version)
+    else
+      let* items = Read.list o "findings" in
+      Read.all
+        (List.mapi
+           (fun i item ->
+             let* e =
+               Read.obj ~fail:(Printf.sprintf "%s: findings[%d]: %s" path i) item
+             in
+             let* rule = Read.string e "rule" in
+             let* file = Read.string e "file" in
+             let* line = Read.int e "line" in
+             Ok ((rule, file, line) : key))
+           items)
 
 let filter ~baseline findings =
   let kept, matched =

@@ -16,7 +16,8 @@ val schema_version : int
 val load : string -> (key list, string) result
 (** A baseline that fails to load is an error, not a cold start: ignoring
     it would resurface every baselined finding and fail CI for the wrong
-    reason. *)
+    reason.  So is one malformed finding entry; the message names it
+    ([PATH: findings[i]: ...]). *)
 
 val write : path:string -> Lint_rule.finding list -> unit
 

@@ -88,96 +88,94 @@ let entry_to_json (e : entry) =
 
 (* --- decoding ---------------------------------------------------------------- *)
 
-let ( let* ) = Option.bind
+(* Decoding is as strict about types as every other reader, but lenient
+   about extra fields; a failure only drops the entry (a miss). *)
 
-let mem_str k j = Option.bind (member k j) to_string_opt
-let mem_int k j = Option.bind (member k j) to_int_opt
-let mem_list k j = Option.bind (member k j) to_list_opt
+let ( let* ) = Result.bind
 
-let all_some xs =
-  List.fold_right
-    (fun x acc -> match x, acc with Some x, Some acc -> Some (x :: acc) | _ -> None)
-    xs (Some [])
+let open_obj = Read.obj ~fail:Fun.id
 
 let finding_of_json j =
-  let* rule_s = mem_str "rule" j in
-  let* rule = Lint_rule.of_string rule_s in
-  let* file = mem_str "file" j in
-  let* line = mem_int "line" j in
-  let* col = mem_int "col" j in
-  let* message = mem_str "message" j in
-  let* ws = mem_list "witness" j in
-  let* witness = all_some (List.map to_string_opt ws) in
-  Some (Lint_rule.finding ~witness ~rule ~file ~line ~col message)
+  let* o = open_obj j in
+  let* rule = Read.enum o "rule" Lint_rule.of_string in
+  let* file = Read.string o "file" in
+  let* line = Read.int o "line" in
+  let* col = Read.int o "col" in
+  let* message = Read.string o "message" in
+  let* witness = Read.strings o "witness" in
+  Ok (Lint_rule.finding ~witness ~rule ~file ~line ~col message)
 
 let supp_of_json j =
-  let* rule_s = mem_str "rule" j in
-  let* rule = Lint_rule.of_string rule_s in
-  let* first = mem_int "first" j in
-  let* last = mem_int "last" j in
-  let* reason = mem_str "reason" j in
-  Some (Lint_suppress.make ~rule ~first ~last ~reason)
+  let* o = open_obj j in
+  let* rule = Read.enum o "rule" Lint_rule.of_string in
+  let* first = Read.int o "first" in
+  let* last = Read.int o "last" in
+  let* reason = Read.string o "reason" in
+  Ok (Lint_suppress.make ~rule ~first ~last ~reason)
 
 let intrinsic_of_json j =
-  let* eff_s = mem_str "eff" j in
-  let* eff = Lint_effects.effect_of_string eff_s in
-  let* what = mem_str "what" j in
-  let* iline = mem_int "line" j in
-  let* icol = mem_int "col" j in
-  Some { Lint_effects.eff; what; iline; icol }
+  let* o = open_obj j in
+  let* eff = Read.enum o "eff" Lint_effects.effect_of_string in
+  let* what = Read.string o "what" in
+  let* iline = Read.int o "line" in
+  let* icol = Read.int o "col" in
+  Ok { Lint_effects.eff; what; iline; icol }
 
 let pair_of_json = function
-  | List [ String s; Int l ] -> Some (s, l)
-  | _ -> None
+  | List [ String s; Int l ] -> Ok (s, l)
+  | _ -> Error "expected a [string, int] pair"
 
 let event_of_json j =
-  let* ok = mem_str "ok" j in
-  let* o = mem_str "o" j in
-  let* oline = mem_int "oline" j in
-  let* ik = mem_str "ik" j in
-  let* i = mem_str "i" j in
-  let* iline = mem_int "iline" j in
+  let* o = open_obj j in
+  let* ok = Read.string o "ok" in
+  let* outer = Read.string o "o" in
+  let* oline = Read.int o "oline" in
+  let* ik = Read.string o "ik" in
+  let* inner = Read.string o "i" in
+  let* iline = Read.int o "iline" in
   let* outer =
     match ok with
-    | "mutex" -> Some (Lint_callgraph.Hmutex o)
-    | "call" -> Some (Lint_callgraph.Hcall o)
-    | _ -> None
+    | "mutex" -> Ok (Lint_callgraph.Hmutex outer)
+    | "call" -> Ok (Lint_callgraph.Hcall outer)
+    | _ -> Read.fail o "field \"ok\": unknown kind"
   in
   let* inner =
     match ik with
-    | "lock" -> Some (Lint_callgraph.Ilock i)
-    | "call" -> Some (Lint_callgraph.Icall i)
-    | _ -> None
+    | "lock" -> Ok (Lint_callgraph.Ilock inner)
+    | "call" -> Ok (Lint_callgraph.Icall inner)
+    | _ -> Read.fail o "field \"ik\": unknown kind"
   in
-  Some { Lint_callgraph.outer; oline; inner; iline }
+  Ok { Lint_callgraph.outer; oline; inner; iline }
 
 let def_of_json j =
-  let* name = mem_str "name" j in
-  let* ctx = mem_str "ctx" j in
-  let* line = mem_int "line" j in
-  let* col = mem_int "col" j in
-  let* refs = mem_list "refs" j in
-  let* refs = all_some (List.map pair_of_json refs) in
-  let* intr = mem_list "intrinsics" j in
-  let* intrinsics = all_some (List.map intrinsic_of_json intr) in
-  let* locks = mem_list "locks" j in
-  let* locks = all_some (List.map pair_of_json locks) in
-  let* events = mem_list "events" j in
-  let* events = all_some (List.map event_of_json events) in
-  Some { Lint_callgraph.name; ctx; line; col; refs; intrinsics; locks; events }
+  let* o = open_obj j in
+  let* name = Read.string o "name" in
+  let* ctx = Read.string o "ctx" in
+  let* line = Read.int o "line" in
+  let* col = Read.int o "col" in
+  let* refs = Read.list o "refs" in
+  let* refs = Read.all (List.map pair_of_json refs) in
+  let* intrinsics = Read.list o "intrinsics" in
+  let* intrinsics = Read.all (List.map intrinsic_of_json intrinsics) in
+  let* locks = Read.list o "locks" in
+  let* locks = Read.all (List.map pair_of_json locks) in
+  let* events = Read.list o "events" in
+  let* events = Read.all (List.map event_of_json events) in
+  Ok { Lint_callgraph.name; ctx; line; col; refs; intrinsics; locks; events }
 
 let entry_of_json j =
-  let* path = mem_str "path" j in
-  let* digest = mem_str "digest" j in
-  let* modname = mem_str "modname" j in
-  let* shallow = mem_list "shallow" j in
-  let* shallow = all_some (List.map finding_of_json shallow) in
-  let* supp_count = mem_int "suppressed" j in
-  let* supps = mem_list "supps" j in
-  let* supps = all_some (List.map supp_of_json supps) in
-  let* defs = mem_list "defs" j in
-  let* defs = all_some (List.map def_of_json defs) in
-  Some
+  let* o = open_obj j in
+  let* path = Read.string o "path" in
+  let* digest = Read.string o "digest" in
+  let* modname = Read.string o "modname" in
+  let* shallow = Read.list o "shallow" in
+  let* shallow = Read.all (List.map finding_of_json shallow) in
+  let* supp_count = Read.int o "suppressed" in
+  let* supps = Read.list o "supps" in
+  let* supps = Read.all (List.map supp_of_json supps) in
+  let* defs = Read.list o "defs" in
+  let* defs = Read.all (List.map def_of_json defs) in
+  Ok
     { digest;
       summary = { Lint_callgraph.path; modname; defs };
       shallow;
@@ -186,30 +184,24 @@ let entry_of_json j =
 
 (* --- load/save --------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load ~dir =
   let table : (string, entry) Hashtbl.t = Hashtbl.create 64 in
-  (match read_file (cache_file dir) with
-  | exception Sys_error _ -> ()
-  | raw -> (
-    match parse raw with
-    | Error _ -> ()
-    | Ok j ->
-      if mem_int "schema_version" j = Some schema_version then
-        match mem_list "entries" j with
-        | None -> ()
-        | Some entries ->
-          List.iter
-            (fun ej ->
-              match entry_of_json ej with
-              | Some e -> Hashtbl.replace table e.summary.path e
-              | None -> ())
-            entries));
+  let entries =
+    match In_channel.with_open_bin (cache_file dir) In_channel.input_all with
+    | exception Sys_error detail -> Error detail
+    | raw ->
+      let* j = parse raw in
+      let* o = open_obj j in
+      let* v = Read.int o "schema_version" in
+      if v <> schema_version then Read.fail o "stale schema"
+      else Read.list o "entries"
+  in
+  List.iter
+    (fun ej ->
+      match entry_of_json ej with
+      | Ok e -> Hashtbl.replace table e.summary.path e
+      | Error _ -> ())
+    (Result.value entries ~default:[]);
   table
 
 let save ~dir entries =

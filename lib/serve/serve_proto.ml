@@ -10,69 +10,21 @@ let max_frame_bytes = 1 lsl 20
 
 let ( let* ) = Result.bind
 
-let obj_fields ~what = function
-  | Bench_json.Obj kvs -> Ok kvs
-  | _ -> Error (Printf.sprintf "%s: expected an object" what)
+module Read = Bench_json.Read
 
-let no_unknown ~what ~allowed kvs =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) -> Error (Printf.sprintf "%s: unknown field %S" what k)
-  | None -> Ok ()
+(* Every rejection reads "<document>: <detail>" on the wire. *)
+let open_obj what json = Read.obj ~fail:(fun d -> what ^ ": " ^ d) json
 
-let field ~what kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" what k)
-
-let int_field ~what kvs k =
-  let* v = field ~what kvs k in
-  match Bench_json.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: field %S must be an integer" what k)
-
-let string_field ~what kvs k =
-  let* v = field ~what kvs k in
-  match Bench_json.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S must be a string" what k)
-
-let bool_field ~what kvs k =
-  let* v = field ~what kvs k in
-  match v with
-  | Bench_json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "%s: field %S must be a boolean" what k)
-
-(* Nullable boolean: the field must be present, [null] meaning [None]. *)
-let bool_opt_field ~what kvs k =
-  let* v = field ~what kvs k in
-  match v with
-  | Bench_json.Bool b -> Ok (Some b)
-  | Bench_json.Null -> Ok None
-  | _ -> Error (Printf.sprintf "%s: field %S must be a boolean or null" what k)
-
-let list_field ~what kvs k =
-  let* v = field ~what kvs k in
-  match Bench_json.to_list_opt v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: field %S must be a list" what k)
-
-let bounded ~what ~lo ~hi k i =
+let bounded o ~lo ~hi k i =
   if i < lo || i > hi then
-    Error (Printf.sprintf "%s: field %S must be in [%d, %d]" what k lo hi)
+    Read.fail o (Printf.sprintf "field %S must be in [%d, %d]" k lo hi)
   else Ok i
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-    let* y = f x in
-    let* ys = map_result f xs in
-    Ok (y :: ys)
-
-let check_version ~what kvs =
-  let* v = int_field ~what kvs "v" in
+let check_version o =
+  let* v = Read.int o "v" in
   if v <> protocol_version then
-    Error
-      (Printf.sprintf "%s: protocol version %d, this peer speaks %d" what v
+    Read.fail o
+      (Printf.sprintf "protocol version %d, this peer speaks %d" v
          protocol_version)
   else Ok ()
 
@@ -133,78 +85,51 @@ module Verdict = struct
         ]
 
   let of_json json =
-    let what = "verdict" in
-    let* kvs = obj_fields ~what json in
-    let* kind = string_field ~what kvs "kind" in
+    let* o = open_obj "verdict" json in
+    let* kind = Read.string o "kind" in
     match kind with
     | "cell" ->
       let* () =
-        no_unknown ~what
-          ~allowed:
-            [ "kind"; "n"; "f"; "adequate"; "survived_attacks";
-              "certificate_broke_it" ]
-          kvs
+        Read.only o
+          [ "kind"; "n"; "f"; "adequate"; "survived_attacks";
+            "certificate_broke_it" ]
       in
-      let* n = int_field ~what kvs "n" in
-      let* f = int_field ~what kvs "f" in
-      let* adequate = bool_field ~what kvs "adequate" in
-      let* survived_attacks = bool_opt_field ~what kvs "survived_attacks" in
-      let* certificate_broke_it =
-        bool_opt_field ~what kvs "certificate_broke_it"
-      in
+      let* n = Read.int o "n" in
+      let* f = Read.int o "f" in
+      let* adequate = Read.bool o "adequate" in
+      let* survived_attacks = Read.bool_or_null o "survived_attacks" in
+      let* certificate_broke_it = Read.bool_or_null o "certificate_broke_it" in
       Ok
         (Cell { Sweep.n; f; adequate; survived_attacks; certificate_broke_it })
     | "conn" ->
       let* () =
-        no_unknown ~what
-          ~allowed:[ "kind"; "kappa"; "adequate"; "relay_ok";
-                     "certificate_broke_it" ]
-          kvs
+        Read.only o
+          [ "kind"; "kappa"; "adequate"; "relay_ok"; "certificate_broke_it" ]
       in
-      let* kappa = int_field ~what kvs "kappa" in
-      let* adequate = bool_field ~what kvs "adequate" in
-      let* relay_ok = bool_opt_field ~what kvs "relay_ok" in
-      let* broke = bool_opt_field ~what kvs "certificate_broke_it" in
+      let* kappa = Read.int o "kappa" in
+      let* adequate = Read.bool o "adequate" in
+      let* relay_ok = Read.bool_or_null o "relay_ok" in
+      let* broke = Read.bool_or_null o "certificate_broke_it" in
       Ok (Conn (kappa, adequate, relay_ok, broke))
     | "cert" ->
-      let* () =
-        no_unknown ~what ~allowed:[ "kind"; "contradiction"; "summary" ] kvs
-      in
-      let* contradiction = bool_field ~what kvs "contradiction" in
-      let* summary = string_field ~what kvs "summary" in
+      let* () = Read.only o [ "kind"; "contradiction"; "summary" ] in
+      let* contradiction = Read.bool o "contradiction" in
+      let* summary = Read.string o "summary" in
       Ok (Cert { contradiction; summary })
     | "chaos" ->
       let* () =
-        no_unknown ~what
-          ~allowed:
-            [ "kind"; "trial"; "seed"; "strategy"; "faulty"; "survived";
-              "violations" ]
-          kvs
+        Read.only o
+          [ "kind"; "trial"; "seed"; "strategy"; "faulty"; "survived";
+            "violations" ]
       in
-      let* trial = int_field ~what kvs "trial" in
-      let* seed = int_field ~what kvs "seed" in
-      let* strategy = string_field ~what kvs "strategy" in
-      let* faulty_json = list_field ~what kvs "faulty" in
-      let* faulty =
-        map_result
-          (fun v ->
-            match Bench_json.to_int_opt v with
-            | Some i -> Ok i
-            | None -> Error "verdict: faulty entries must be integers")
-          faulty_json
-      in
-      let* survived = bool_field ~what kvs "survived" in
-      let* violations_json = list_field ~what kvs "violations" in
-      let* violations =
-        map_result
-          (fun v ->
-            match Bench_json.to_string_opt v with
-            | Some s -> Ok s
-            | None -> Error "verdict: violations entries must be strings")
-          violations_json
-      in
+      let* trial = Read.int o "trial" in
+      let* seed = Read.int o "seed" in
+      let* strategy = Read.string o "strategy" in
+      let* faulty = Read.ints o "faulty" in
+      let* survived = Read.bool o "survived" in
+      let* violations = Read.strings o "violations" in
       Ok (Chaos { Job.trial; seed; strategy; faulty; survived; violations })
-    | k -> Error (Printf.sprintf "verdict: unknown kind %S" k)
+    | k -> Read.fail o (Printf.sprintf "unknown kind %S" k)
 
   let equal a b =
     match a, b with
@@ -250,52 +175,48 @@ let error_to_json e =
     :: fields)
 
 let error_of_json json =
-  let what = "error" in
-  let* kvs = obj_fields ~what json in
-  let* cls = string_field ~what kvs "class" in
-  let* _ = int_field ~what kvs "exit_code" in
-  let str = string_field ~what kvs in
-  let strict allowed k =
-    let* () = no_unknown ~what ~allowed:("class" :: "exit_code" :: allowed) kvs in
-    k ()
-  in
+  let* o = open_obj "error" json in
+  let* cls = Read.string o "class" in
+  let* _ = Read.int o "exit_code" in
+  let str = Read.string o in
+  let only allowed = Read.only o ("class" :: "exit_code" :: allowed) in
   match cls with
   | "invalid-input" ->
-    strict [ "what"; "detail" ] @@ fun () ->
+    let* () = only [ "what"; "detail" ] in
     let* w = str "what" in
     let* detail = str "detail" in
     Ok (Flm_error.Invalid_input { what = w; detail })
   | "job-failed" ->
-    strict [ "job"; "exn" ] @@ fun () ->
+    let* () = only [ "job"; "exn" ] in
     let* job = str "job" in
     let* exn = str "exn" in
     Ok (Flm_error.Job_failed { job; exn })
   | "job-timeout" ->
-    strict [ "job"; "timeout_ms" ] @@ fun () ->
+    let* () = only [ "job"; "timeout_ms" ] in
     let* job = str "job" in
-    let* timeout_ms = int_field ~what kvs "timeout_ms" in
+    let* timeout_ms = Read.int o "timeout_ms" in
     Ok (Flm_error.Job_timeout { job; timeout_ms })
   | "worker-crashed" ->
-    strict [ "detail" ] @@ fun () ->
+    let* () = only [ "detail" ] in
     let* detail = str "detail" in
     Ok (Flm_error.Worker_crashed { detail })
   | "axiom-violation" ->
-    strict [ "axiom"; "detail" ] @@ fun () ->
+    let* () = only [ "axiom"; "detail" ] in
     let* axiom = str "axiom" in
     let* detail = str "detail" in
     Ok (Flm_error.Axiom_violation { axiom; detail })
   | "store-corrupt" ->
-    strict [ "path"; "offset"; "detail" ] @@ fun () ->
+    let* () = only [ "path"; "offset"; "detail" ] in
     let* path = str "path" in
-    let* offset = int_field ~what kvs "offset" in
+    let* offset = Read.int o "offset" in
     let* detail = str "detail" in
     Ok (Flm_error.Store_corrupt { path; offset; detail })
   | "net" ->
-    strict [ "endpoint"; "detail" ] @@ fun () ->
+    let* () = only [ "endpoint"; "detail" ] in
     let* endpoint = str "endpoint" in
     let* detail = str "detail" in
     Ok (Flm_error.Net { endpoint; detail })
-  | c -> Error (Printf.sprintf "error: unknown class %S" c)
+  | c -> Read.fail o (Printf.sprintf "unknown class %S" c)
 
 module Slot = struct
   type t = (Verdict.t, Flm_error.t) result
@@ -307,13 +228,12 @@ module Slot = struct
         [ "kind", Bench_json.String "error"; "error", error_to_json e ]
 
   let of_json json =
-    let what = "slot" in
-    let* kvs = obj_fields ~what json in
-    let* kind = string_field ~what kvs "kind" in
+    let* o = open_obj "slot" json in
+    let* kind = Read.string o "kind" in
     match kind with
     | "error" ->
-      let* () = no_unknown ~what ~allowed:[ "kind"; "error" ] kvs in
-      let* ej = field ~what kvs "error" in
+      let* () = Read.only o [ "kind"; "error" ] in
+      let* ej = Read.field o "error" in
       let* e = error_of_json ej in
       Ok (Error e)
     | _ ->
@@ -353,23 +273,20 @@ module Ping = struct
       ]
 
   let of_json json =
-    let what = "ping" in
-    let* kvs = obj_fields ~what json in
+    let* o = open_obj "ping" json in
     let* () =
-      no_unknown ~what
-        ~allowed:
-          [ "draining"; "sessions"; "max_sessions"; "requests"; "ok";
-            "failed"; "jobs"; "store_attached" ]
-        kvs
+      Read.only o
+        [ "draining"; "sessions"; "max_sessions"; "requests"; "ok"; "failed";
+          "jobs"; "store_attached" ]
     in
-    let* draining = bool_field ~what kvs "draining" in
-    let* sessions = int_field ~what kvs "sessions" in
-    let* max_sessions = int_field ~what kvs "max_sessions" in
-    let* requests = int_field ~what kvs "requests" in
-    let* ok = int_field ~what kvs "ok" in
-    let* failed = int_field ~what kvs "failed" in
-    let* jobs = int_field ~what kvs "jobs" in
-    let* store_attached = bool_field ~what kvs "store_attached" in
+    let* draining = Read.bool o "draining" in
+    let* sessions = Read.int o "sessions" in
+    let* max_sessions = Read.int o "max_sessions" in
+    let* requests = Read.int o "requests" in
+    let* ok = Read.int o "ok" in
+    let* failed = Read.int o "failed" in
+    let* jobs = Read.int o "jobs" in
+    let* store_attached = Read.bool o "store_attached" in
     Ok { draining; sessions; max_sessions; requests; ok; failed; jobs;
          store_attached }
 end
@@ -444,67 +361,68 @@ module Request = struct
   let max_size = 4096
 
   let of_json json =
-    let what = "request" in
-    let* kvs = obj_fields ~what json in
-    let* () = check_version ~what kvs in
-    let* op = string_field ~what kvs "op" in
+    let* o = open_obj "request" json in
+    let* () = check_version o in
+    let* op = Read.string o "op" in
+    let* timeout_ms = Read.int_opt o "timeout_ms" in
     let* timeout_ms =
-      match List.assoc_opt "timeout_ms" kvs with
+      match timeout_ms with
       | None -> Ok None
-      | Some v -> (
-        match Bench_json.to_int_opt v with
-        | Some ms ->
-          let* ms = bounded ~what ~lo:1 ~hi:max_timeout_ms "timeout_ms" ms in
-          Ok (Some ms)
-        | None -> Error "request: field \"timeout_ms\" must be an integer")
-    in
-    let strict allowed k =
-      let* () =
-        no_unknown ~what ~allowed:("v" :: "op" :: "timeout_ms" :: allowed) kvs
-      in
-      k ()
+      | Some ms ->
+        let* ms = bounded o ~lo:1 ~hi:max_timeout_ms "timeout_ms" ms in
+        Ok (Some ms)
     in
     let* op =
       match op with
       | "certify" ->
-        strict [ "problem"; "n"; "f" ] @@ fun () ->
-        let* p = string_field ~what kvs "problem" in
+        let* () = Read.only o [ "v"; "op"; "timeout_ms"; "problem"; "n"; "f" ] in
+        let* p = Read.string o "problem" in
         let* problem =
           match Job.cert_problem_of_string p with
           | Some problem -> Ok problem
           | None ->
-            Error
+            Read.fail o
               (Printf.sprintf
-                 "request: unknown certify problem %S (servable: ba, \
-                  ba-collapse, ba-conn)"
+                 "unknown certify problem %S (servable: ba, ba-collapse, \
+                  ba-conn)"
                  p)
         in
-        let* n = int_field ~what kvs "n" in
-        let* n = bounded ~what ~lo:0 ~hi:max_size "n" n in
-        let* f = int_field ~what kvs "f" in
-        let* f = bounded ~what ~lo:0 ~hi:max_size "f" f in
+        let* n = Read.int o "n" in
+        let* n = bounded o ~lo:0 ~hi:max_size "n" n in
+        let* f = Read.int o "f" in
+        let* f = bounded o ~lo:0 ~hi:max_size "f" f in
         Ok (Certify { problem; n; f })
       | "chaos" ->
-        strict [ "family"; "f"; "seed"; "strategy"; "trials" ] @@ fun () ->
-        let* family = string_field ~what kvs "family" in
-        let* f = int_field ~what kvs "f" in
-        let* f = bounded ~what ~lo:0 ~hi:max_size "f" f in
-        let* seed = int_field ~what kvs "seed" in
-        let* strategy = string_field ~what kvs "strategy" in
-        let* trials = int_field ~what kvs "trials" in
-        let* trials = bounded ~what ~lo:1 ~hi:max_trials "trials" trials in
+        let* () =
+          Read.only o
+            [ "v"; "op"; "timeout_ms"; "family"; "f"; "seed"; "strategy";
+              "trials" ]
+        in
+        let* family = Read.string o "family" in
+        let* f = Read.int o "f" in
+        let* f = bounded o ~lo:0 ~hi:max_size "f" f in
+        let* seed = Read.int o "seed" in
+        let* strategy = Read.string o "strategy" in
+        let* trials = Read.int o "trials" in
+        let* trials = bounded o ~lo:1 ~hi:max_trials "trials" trials in
         Ok (Chaos { family; f; seed; strategy; trials })
       | "sweep" ->
-        strict [ "n_max"; "f_max" ] @@ fun () ->
-        let* n_max = int_field ~what kvs "n_max" in
-        let* n_max = bounded ~what ~lo:3 ~hi:max_sweep_n "n_max" n_max in
-        let* f_max = int_field ~what kvs "f_max" in
-        let* f_max = bounded ~what ~lo:1 ~hi:max_sweep_f "f_max" f_max in
+        let* () = Read.only o [ "v"; "op"; "timeout_ms"; "n_max"; "f_max" ] in
+        let* n_max = Read.int o "n_max" in
+        let* n_max = bounded o ~lo:3 ~hi:max_sweep_n "n_max" n_max in
+        let* f_max = Read.int o "f_max" in
+        let* f_max = bounded o ~lo:1 ~hi:max_sweep_f "f_max" f_max in
         Ok (Sweep { n_max; f_max })
-      | "store-stat" -> strict [] @@ fun () -> Ok Store_stat
-      | "stats" -> strict [] @@ fun () -> Ok Stats
-      | "ping" -> strict [] @@ fun () -> Ok Ping
-      | o -> Error (Printf.sprintf "request: unknown op %S" o)
+      | "store-stat" ->
+        let* () = Read.only o [ "v"; "op"; "timeout_ms" ] in
+        Ok Store_stat
+      | "stats" ->
+        let* () = Read.only o [ "v"; "op"; "timeout_ms" ] in
+        Ok Stats
+      | "ping" ->
+        let* () = Read.only o [ "v"; "op"; "timeout_ms" ] in
+        Ok Ping
+      | op -> Read.fail o (Printf.sprintf "unknown op %S" op)
     in
     Ok { op; timeout_ms }
 end
@@ -529,21 +447,20 @@ module Response = struct
         ]
 
   let of_json json =
-    let what = "response" in
-    let* kvs = obj_fields ~what json in
-    let* () = check_version ~what kvs in
-    let* status = string_field ~what kvs "status" in
+    let* o = open_obj "response" json in
+    let* () = check_version o in
+    let* status = Read.string o "status" in
     match status with
     | "ok" ->
-      let* () = no_unknown ~what ~allowed:[ "v"; "status"; "result" ] kvs in
-      let* payload = field ~what kvs "result" in
+      let* () = Read.only o [ "v"; "status"; "result" ] in
+      let* payload = Read.field o "result" in
       Ok (Result payload)
     | "error" ->
-      let* () = no_unknown ~what ~allowed:[ "v"; "status"; "error" ] kvs in
-      let* ej = field ~what kvs "error" in
+      let* () = Read.only o [ "v"; "status"; "error" ] in
+      let* ej = Read.field o "error" in
       let* e = error_of_json ej in
       Ok (Failed e)
-    | s -> Error (Printf.sprintf "response: unknown status %S" s)
+    | s -> Read.fail o (Printf.sprintf "unknown status %S" s)
 end
 
 (* --- socket addresses ----------------------------------------------------- *)

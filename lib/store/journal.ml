@@ -26,12 +26,6 @@ let read_u32 s pos =
 
 (* --- scanning --------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 type scan_result = {
   path : string;
   records : (int * string) list;
@@ -44,7 +38,7 @@ let scan path =
   if not (Sys.file_exists path) then
     Ok { path; records = []; corruptions = []; valid_end = mlen }
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error detail -> Error (corrupt path 0 detail)
     | contents ->
       let size = String.length contents in

@@ -210,10 +210,17 @@ let shrink () =
     check tbool "minimized scenario reproduces standalone" true
       (Job.campaign_scenario scenario = outcome)
 
+(* The spec decoder is total: any JSON tree gives [Ok] or a typed error. *)
+let prop_spec_total =
+  QCheck.Test.make ~name:"spec decoder is total" ~count:500
+    (Util.near_json [ Campaign_spec.to_json (spec_exn ()) ])
+    (fun j -> match Campaign_spec.of_json j with Ok _ | Error _ -> true)
+
 let suite =
   ( "campaign",
     [ Alcotest.test_case "spec json" `Quick spec_json;
       Alcotest.test_case "enumeration" `Quick enumeration;
       Alcotest.test_case "corpus" `Quick corpus;
       Alcotest.test_case "shrink" `Quick shrink;
+      QCheck_alcotest.to_alcotest prop_spec_total;
     ] )

@@ -7,6 +7,12 @@ let tbool = Alcotest.bool
 
 let ilist = Alcotest.(list int)
 
+(* Both directions of every edge, from the adjacency lists. *)
+let arcs g =
+  List.concat_map
+    (fun u -> List.map (fun v -> u, v) (Graph.neighbors g u))
+    (Graph.nodes g)
+
 let basic_construction () =
   let g = Graph.make ~n:4 [ 0, 1; 1, 2; 2, 3 ] in
   check tint "n" 4 (Graph.n g);
@@ -15,8 +21,7 @@ let basic_construction () =
   check tbool "mem 1-0 (symmetric)" true (Graph.mem_edge g 1 0);
   check tbool "mem 0-2" false (Graph.mem_edge g 0 2);
   check ilist "neighbors 1" [ 0; 2 ] (Graph.neighbors g 1);
-  check tint "degree 0" 1 (Graph.degree g 0);
-  check tint "directed edges" 6 (List.length (Graph.directed_edges g))
+  check tint "degree 0" 1 (Graph.degree g 0)
 
 let rejects_bad_edges () =
   let expect_invalid f =
@@ -44,13 +49,13 @@ let induced_edges () =
   let sub, back = Graph.induced g kept in
   let mapped =
     List.sort compare
-      (List.map (fun (u, v) -> back.(u), back.(v)) (Graph.directed_edges sub))
+      (List.map (fun (u, v) -> back.(u), back.(v)) (arcs sub))
   in
   let expected =
     List.sort compare
       (List.filter
          (fun (u, v) -> List.mem u kept && List.mem v kept)
-         (Graph.directed_edges g))
+         (arcs g))
   in
   check tbool "induced edges map back" true (mapped = expected);
   check tbool "C6 minus {3,5} edges" true
@@ -130,7 +135,7 @@ let arbitrary_graph = QCheck.make ~print:(Format.asprintf "%a" Graph.pp) graph_g
 let prop_symmetric =
   QCheck.Test.make ~name:"graphs are symmetric" ~count:100 arbitrary_graph
     (fun g ->
-      List.for_all (fun (u, v) -> Graph.mem_edge g v u) (Graph.directed_edges g))
+      List.for_all (fun (u, v) -> Graph.mem_edge g v u) (arcs g))
 
 let prop_degree_sum =
   QCheck.Test.make ~name:"degree sum = 2 * edges" ~count:100 arbitrary_graph

@@ -440,6 +440,57 @@ let cache_roundtrip () =
   Sys.remove (Filename.concat dir "summaries.json");
   Unix.rmdir dir
 
+(* A baseline document as [Lint_baseline.write] lays it out. *)
+let baseline_doc entries =
+  Bench_json.Obj
+    [ "tool", Bench_json.String "flm-lint-baseline";
+      "schema_version", Bench_json.Int Lint_baseline.schema_version;
+      "findings", Bench_json.List entries ]
+
+let baseline_entry rule line =
+  Bench_json.Obj
+    [ "rule", Bench_json.String rule; "file", Bench_json.String "a.ml";
+      "line", line ]
+
+(* (m) A malformed finding entry fails the whole load, naming the entry:
+   dropping it would resurface the finding it holds back. *)
+let baseline_malformed () =
+  let path = Filename.temp_file "flm-baseline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Bench_json.write_file ~path
+        (baseline_doc
+           [ baseline_entry "deep/random" (Bench_json.Int 3);
+             baseline_entry "deep/time" (Bench_json.String "7");
+             Bench_json.Obj [ "rule", Bench_json.String "deep/io" ] ]);
+      match Lint_baseline.load path with
+      | Ok keys ->
+        Alcotest.failf "malformed baseline loaded with %d key(s)"
+          (List.length keys)
+      | Error e ->
+        check tstring "error names the first bad entry"
+          (path ^ ": findings[1]: field \"line\" must be an integer")
+          e)
+
+(* The baseline decoder is total: any JSON tree on disk loads as [Ok] or
+   [Error], never an exception. *)
+let prop_baseline_total =
+  let valid =
+    baseline_doc
+      [ baseline_entry "deep/random" (Bench_json.Int 3);
+        baseline_entry "deep/time" (Bench_json.Int 9) ]
+  in
+  QCheck.Test.make ~name:"baseline decoder is total" ~count:1000
+    (Util.near_json [ valid ])
+    (fun j ->
+      let path = Filename.temp_file "flm-baseline" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Bench_json.write_file ~path j;
+          match Lint_baseline.load path with Ok _ | Error _ -> true))
+
 let suite =
   ( "lint",
     [ Alcotest.test_case "locality rules" `Quick locality;
@@ -458,4 +509,6 @@ let suite =
       Alcotest.test_case "deep lock-order cycle" `Quick deep_lock_order;
       Alcotest.test_case "baseline" `Quick baseline;
       Alcotest.test_case "summary cache" `Quick cache_roundtrip;
+      Alcotest.test_case "baseline malformed entry" `Quick baseline_malformed;
+      QCheck_alcotest.to_alcotest prop_baseline_total;
     ] )

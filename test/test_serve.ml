@@ -338,6 +338,64 @@ let client_poisoning () =
       | _ -> Alcotest.fail "poisoned handle should fail fast with Net");
       Serve_client.close client)
 
+(* Decoders are total: whatever bytes or trees arrive, a decoder answers
+   [Ok] or [Error] and never raises. *)
+let total r = match r with Ok _ | Error _ -> true
+
+let damaged_document =
+  let open QCheck.Gen in
+  oneof
+    [ string_size (int_bound 64);
+      (* a printed valid document, cut short *)
+      map2
+        (fun j cut ->
+          let s = Bench_json.to_string j in
+          String.sub s 0 (cut mod (String.length s + 1)))
+        Util.json_gen nat;
+      (* a printed valid document with one byte replaced *)
+      map3
+        (fun j at c ->
+          let b = Bytes.of_string (Bench_json.to_string j) in
+          Bytes.set b (at mod Bytes.length b) c;
+          Bytes.to_string b)
+        Util.json_gen nat char ]
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"json parse is total" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") damaged_document)
+    (fun s -> total (Bench_json.parse s))
+
+let prop_print_parse =
+  QCheck.Test.make ~name:"json print/parse round-trip" ~count:500
+    Util.arbitrary_json (fun j -> Bench_json.parse (Bench_json.to_string j) = Ok j)
+
+let prop_wire_total =
+  let request op = Serve_proto.Request.to_json { op; timeout_ms = Some 5 } in
+  let slot s = Serve_proto.Slot.to_json s in
+  let docs =
+    [ request (Serve_proto.Request.Certify { problem = Job.Ba; n = 4; f = 1 });
+      request
+        (Serve_proto.Request.Chaos
+           { family = "complete:5"; f = 1; seed = 3; strategy = "crash";
+             trials = 2 });
+      request (Serve_proto.Request.Sweep { n_max = 6; f_max = 2 });
+      slot
+        (Ok
+           (Serve_proto.Verdict.Chaos
+              { Job.trial = 1; seed = 2; strategy = "crash"; faulty = [ 1 ];
+                survived = false; violations = [ "agreement" ] }));
+      slot
+        (Ok
+           (Serve_proto.Verdict.Cell
+              { Sweep.n = 4; f = 1; adequate = true;
+                survived_attacks = Some true; certificate_broke_it = None }));
+      slot (Error (Flm_error.Store_corrupt { path = "p"; offset = 3; detail = "d" }))
+    ]
+  in
+  QCheck.Test.make ~name:"wire decoders are total" ~count:1000
+    (Util.near_json docs) (fun j ->
+      total (Serve_proto.Request.of_json j) && total (Serve_proto.Slot.of_json j))
+
 let suite =
   ( "serve-proto",
     [ Alcotest.test_case "request round-trips" `Quick requests;
@@ -349,4 +407,7 @@ let suite =
       Alcotest.test_case "socket paths" `Quick socket_paths;
       Alcotest.test_case "framing" `Quick framing;
       Alcotest.test_case "client poisoning" `Quick client_poisoning;
+      QCheck_alcotest.to_alcotest prop_parse_total;
+      QCheck_alcotest.to_alcotest prop_print_parse;
+      QCheck_alcotest.to_alcotest prop_wire_total;
     ] )
