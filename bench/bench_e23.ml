@@ -2,11 +2,12 @@
    over the same tree.
 
    The deep pass (Flm_lint.run_deep) parses every file once, summarizes
-   it (Lint_callgraph), and content-addresses the summary by source
-   digest (Lint_cache).  A warm run re-reads sources only to digest
-   them: every cache hit skips the compiler-libs parse and the body
-   walks entirely, and only the whole-repo half (graph build, SCC
-   fixpoints, lock-order check) runs again.  This experiment measures
+   it in the same walk that runs the shallow rules (Lint_walk), and
+   content-addresses the summary by source digest (Lint_cache).  A warm
+   run re-reads sources only to digest them: every cache hit skips the
+   compiler-libs parse and the walk entirely, and only the whole-repo
+   half (graph build, SCC fixpoints, lock-order check) runs again.  This
+   experiment measures
    that dividend and checks it changes nothing observable: the cold and
    warm reports must be identical. *)
 

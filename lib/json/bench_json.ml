@@ -33,17 +33,20 @@ let quantize_us f =
   else Float.round (f *. 1e6) /. 1e6
 
 let float_literal f =
-  (* Prefer microsecond fixed-point when it reads back as exactly this
-     float (true for values quantized with [quantize_us]); otherwise %.17g,
-     which round-trips every float.  Integral values still need a marker so
-     they read back as JSON numbers with the same type. *)
-  let s =
-    let fixed = Printf.sprintf "%.6f" f in
-    if Float.abs f < 1e9 && float_of_string fixed = f then fixed
-    else Printf.sprintf "%.17g" f
-  in
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
-  else s ^ ".0"
+  (* JSON has no NaN or infinity: a non-finite float prints as [null],
+     which every reader takes for a missing figure.  A finite one prefers
+     microsecond fixed-point when that reads back as exactly this float
+     (true for values quantized with [quantize_us]); otherwise %.17g, which
+     round-trips every float.  Integral values still need a marker so they
+     read back as JSON numbers with the same type. *)
+  if not (Float.is_finite f) then "null"
+  else
+    let s =
+      let fixed = Printf.sprintf "%.6f" f in
+      if Float.abs f < 1e9 && float_of_string fixed = f then fixed
+      else Printf.sprintf "%.17g" f
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let rec pp buf indent v =
   let pad n = String.make n ' ' in
@@ -99,6 +102,12 @@ let write_file ~path v =
 (* --- parsing --------------------------------------------------------------- *)
 
 exception Parse_error of string
+
+(* Containers may nest this deep.  The parser recurses once per level, so
+   the bound keeps a hostile document from growing the stack without
+   limit; the deepest document the project writes (a lint summary cache)
+   nests 7 levels. *)
+let max_depth = 512
 
 let parse s =
   let n = String.length s in
@@ -185,7 +194,7 @@ let parse s =
       | Some f -> Float f
       | None -> fail (Printf.sprintf "bad number %S" lit))
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -194,6 +203,7 @@ let parse s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
     | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some ('[' | '{') when depth >= max_depth -> fail "nesting too deep"
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -202,11 +212,11 @@ let parse s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -225,7 +235,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           k, v
         in
         let fields = ref [ field () ] in
@@ -241,7 +251,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

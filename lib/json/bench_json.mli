@@ -31,17 +31,20 @@ val quantize_us : float -> float
     at construction serialize as short fixed-point literals instead of
     17-significant-digit dumps of the raw measurement; NaN and magnitudes
     at or above 1e9 pass through unchanged.  Quantized or not, every finite
-    float round-trips exactly through {!to_string} and {!parse}; NaN and
-    the infinities print as [nan]/[inf], which JSON and {!parse} reject. *)
+    float round-trips exactly through {!to_string} and {!parse}. *)
 
 val to_string : t -> string
-(** Pretty-printed JSON, newline-terminated. *)
+(** Pretty-printed JSON, newline-terminated.  JSON has no NaN or infinity,
+    so a non-finite [Float] prints as [null] and reads back as [Null]. *)
 
 val write_file : path:string -> t -> unit
 
 val parse : string -> (t, string) result
 (** Strict: rejects trailing garbage; [\u] escapes outside ASCII decode to
-    ['?'] (labels in this schema are ASCII). *)
+    ['?'] (labels in this schema are ASCII).  Containers nested more than
+    512 deep are an [Error]: far deeper than any document the project
+    writes, and shallow enough that the recursive parser's stack stays
+    small on hostile input. *)
 
 val member : string -> t -> t option
 val to_int_opt : t -> int option

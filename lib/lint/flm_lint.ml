@@ -1,10 +1,10 @@
 (* The driver: parse one file with the compiler's own front end
    (compiler-libs), run the rule families the scoping table puts in force
-   for its directory, then subtract inline suppressions.  One parse per
-   file serves both tiers: the shallow rules walk the tree directly, and
-   the same tree is summarized by Lint_callgraph for the deep
-   (interprocedural) pass, whose summaries are content-addressed and
-   cached so a warm deep run never parses an unchanged file. *)
+   for its directory, then subtract inline suppressions.  One parse and
+   one walk per file serve both tiers: Lint_walk runs the shallow rules
+   and summarizes the same tree for the deep (interprocedural) pass, whose
+   summaries are content-addressed and cached so a warm deep run never
+   parses an unchanged file. *)
 
 let parse ~path source =
   let lexbuf = Lexing.from_string source in
@@ -29,11 +29,8 @@ let process ~path source : Lint_cache.entry =
       supp_count = 0;
       supps = [] }
   | str ->
-    let active = Lint_scope.rules_for path in
-    let raw =
-      Lint_locality.check ~active str
-      @ Lint_concurrency.check ~active str
-      @ Lint_hygiene.check ~active str
+    let raw, summary =
+      Lint_walk.file ~path ~active:(Lint_scope.rules_for path) str
     in
     let active_findings, suppressed =
       List.partition
@@ -42,7 +39,7 @@ let process ~path source : Lint_cache.entry =
         raw
     in
     { digest;
-      summary = Lint_callgraph.extract ~path str;
+      summary;
       shallow =
         List.sort Lint_rule.compare_finding (supp_errors @ active_findings);
       supp_count = List.length suppressed;

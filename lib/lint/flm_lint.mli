@@ -13,6 +13,10 @@
     Parsing uses the compiler's own front end ([Parse] +
     [Ast_iterator]), so anything the build accepts, the linter sees. *)
 
+val parse : path:string -> string -> Parsetree.structure
+(** The compiler front end as the linter runs it, alone; raises on a
+    syntax error.  The floor every summary pays. *)
+
 val check_source :
   path:string -> string -> Lint_rule.finding list * int
 (** Lint one compilation unit given as a string; [path] determines scope.

@@ -6,10 +6,12 @@ let flat (lid : Longident.t) =
 let ident_path (e : expression) =
   match e.pexp_desc with Pexp_ident { txt; _ } -> Some (flat txt) | _ -> None
 
+type call = string list * (Asttypes.arg_label * expression) list
+
 (* Peel an application down to (head ident path, args), looking through
    [@@] and [|>] so "f x @@ fun () -> ..." and "x |> f" analyze like the
    direct application they denote. *)
-let rec head_call (e : expression) =
+let rec head_call (e : expression) : call option =
   match e.pexp_desc with
   | Pexp_apply (f, args) -> (
     match ident_path f with
@@ -28,6 +30,16 @@ let rec head_call (e : expression) =
   | Pexp_ident { txt; _ } -> Some (flat txt, [])
   | _ -> None
 
+let iter_expr (e : expression) f =
+  let it =
+    { Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          f e;
+          Ast_iterator.default_iterator.expr self e) }
+  in
+  it.expr it e
+
 (* A stable name for a mutex expression ("t.lock", "s.lock", "m"), used to
    match lock/unlock/wait sites.  Anything unprintable still yields a
    deterministic string. *)
@@ -36,46 +48,26 @@ let expr_name (e : expression) =
   | s -> String.trim s
   | exception _ -> "<expr>"
 
-let is_call path (e : expression) =
-  match head_call e with
-  | Some (p, args) when p = path -> Some args
-  | _ -> None
-
 let mutex_arg args =
   match args with (Asttypes.Nolabel, m) :: _ -> Some m | _ -> None
 
-(* [Mutex.lock m] / [Mutex.unlock m] recognizers, returning the mutex name. *)
-let lock_site e =
-  Option.bind (is_call [ "Mutex"; "lock" ] e) (fun args ->
-      Option.map expr_name (mutex_arg args))
+(* Recognizers on a peeled call, so a walk that has already computed a
+   node's [head_call] classifies it without peeling it again. *)
+let lock_of (path, args) =
+  match path with
+  | [ "Mutex"; "lock" ] -> Option.map expr_name (mutex_arg args)
+  | _ -> None
 
-let unlock_site e =
-  Option.bind (is_call [ "Mutex"; "unlock" ] e) (fun args ->
-      Option.map expr_name (mutex_arg args))
+let unlock_of (path, args) =
+  match path with
+  | [ "Mutex"; "unlock" ] -> Option.map expr_name (mutex_arg args)
+  | _ -> None
 
-(* Does [e]'s subtree contain [Mutex.unlock m]?  Used on Fun.protect
-   ~finally closures. *)
-let contains_unlock_of m (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match unlock_site ex with
-          | Some m' when m' = m -> found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  !found
-
-(* If [e] is (possibly via @@ / |>) an application of [Fun.protect
-   ~finally:fin body], return (fin, body when present). *)
-let fun_protect e =
-  match head_call e with
-  | Some (([ "Fun"; "protect" ] | [ "Stdlib"; "Fun"; "protect" ]), args) ->
+(* [Fun.protect ~finally:fin body], possibly via @@ / |>: (fin, body when
+   present). *)
+let protect_of (path, args) =
+  match path with
+  | [ "Fun"; "protect" ] | [ "Stdlib"; "Fun"; "protect" ] ->
     let fin =
       List.find_map
         (function
@@ -91,29 +83,37 @@ let fun_protect e =
     Option.map (fun f -> f, body) fin
   | _ -> None
 
+(* The same recognizers on an expression.  Only an application can be a
+   lock, unlock or protect site. *)
+let on_call f (e : expression) =
+  match e.pexp_desc with
+  | Pexp_apply _ -> Option.bind (head_call e) f
+  | _ -> None
+
+let lock_site e = on_call lock_of e
+let unlock_site e = on_call unlock_of e
+let fun_protect e = on_call protect_of e
+
+(* The mutexes a [~finally] closure unlocks, in source order. *)
+let unlocks_in fin =
+  let out = ref [] in
+  iter_expr fin (fun e ->
+      match unlock_site e with Some m -> out := m :: !out | None -> ());
+  List.rev !out
+
+(* [with_lock t f] / [with_stripe s f]-style helpers, by name: their
+   closure arguments run under the helper's lock. *)
+let rec is_with_helper = function
+  | [ name ] -> String.length name > 5 && String.sub name 0 5 = "with_"
+  | _ :: rest -> is_with_helper rest
+  | [] -> false
+
 (* The closure body of [fun () -> e] / [fun x -> e] (peeling parameters). *)
 let rec closure_body (e : expression) =
   match e.pexp_desc with
   | Pexp_fun (_, _, _, body) -> closure_body body
   | Pexp_newtype (_, body) -> closure_body body
   | _ -> e
-
-let visiting_iterator f =
-  {
-    Ast_iterator.default_iterator with
-    expr =
-      (fun self e ->
-        f e;
-        Ast_iterator.default_iterator.expr self e);
-  }
-
-let iter_expressions (str : structure) f =
-  let it = visiting_iterator f in
-  it.structure it str
-
-let iter_expr (e : expression) f =
-  let it = visiting_iterator f in
-  it.expr it e
 
 (* Byte-offset containment: is [inner] located within [outer]? *)
 let within ~(outer : Location.t) (inner : Location.t) =

@@ -41,18 +41,21 @@ let fqn (d : def) = d.ctx ^ "." ^ d.name
    (wrapped-false module names are filenames, and these are not), so
    dropping them keeps summaries small; their effectful members are
    classified separately by {!Lint_effects.intrinsic_of_path}. *)
-let external_modules =
-  [ "Stdlib"; "List"; "ListLabels"; "Array"; "ArrayLabels"; "String";
-    "StringLabels"; "Bytes"; "BytesLabels"; "Char"; "Uchar"; "Int"; "Int32";
-    "Int64"; "Nativeint"; "Float"; "Bool"; "Unit"; "Option"; "Result";
-    "Either"; "Seq"; "Map"; "Set"; "Hashtbl"; "Queue"; "Stack"; "Buffer";
-    "Printf"; "Format"; "Scanf"; "Lexing"; "Parsing"; "Filename"; "Sys";
-    "Unix"; "Random"; "Domain"; "Atomic"; "Mutex"; "Condition"; "Thread";
-    "Effect"; "Fun"; "Lazy"; "Gc"; "Obj"; "Marshal"; "Digest"; "Printexc";
-    "Callback"; "Weak"; "Ephemeron"; "Arg"; "In_channel"; "Out_channel";
-    "Bigarray"; "Complex"; "Fmt"; "Alcotest"; "QCheck"; "QCheck_alcotest";
-    "Bechamel"; "Cmdliner"; "Parse"; "Location"; "Longident"; "Parsetree";
-    "Ast_iterator"; "Ast_helper"; "Asttypes"; "Pprintast" ]
+let external_module = function
+  | "Stdlib" | "List" | "ListLabels" | "Array" | "ArrayLabels" | "String"
+  | "StringLabels" | "Bytes" | "BytesLabels" | "Char" | "Uchar" | "Int"
+  | "Int32" | "Int64" | "Nativeint" | "Float" | "Bool" | "Unit" | "Option"
+  | "Result" | "Either" | "Seq" | "Map" | "Set" | "Hashtbl" | "Queue"
+  | "Stack" | "Buffer" | "Printf" | "Format" | "Scanf" | "Lexing" | "Parsing"
+  | "Filename" | "Sys" | "Unix" | "Random" | "Domain" | "Atomic" | "Mutex"
+  | "Condition" | "Thread" | "Effect" | "Fun" | "Lazy" | "Gc" | "Obj"
+  | "Marshal" | "Digest" | "Printexc" | "Callback" | "Weak" | "Ephemeron"
+  | "Arg" | "In_channel" | "Out_channel" | "Bigarray" | "Complex" | "Fmt"
+  | "Alcotest" | "QCheck" | "QCheck_alcotest" | "Bechamel" | "Cmdliner"
+  | "Parse" | "Location" | "Longident" | "Parsetree" | "Ast_iterator"
+  | "Ast_helper" | "Asttypes" | "Pprintast" ->
+    true
+  | _ -> false
 
 let lower c = c = '_' || (c >= 'a' && c <= 'z')
 let upper c = c >= 'A' && c <= 'Z'
@@ -63,11 +66,11 @@ let ref_of_path parts =
   | head :: _ :: _
     when String.length head > 0
          && upper head.[0]
-         && not (List.mem head external_modules) ->
+         && not (external_module head) ->
     Some (String.concat "." parts)
   | _ -> None
 
-(* --- body analysis ----------------------------------------------------------- *)
+(* --- body facts ---------------------------------------------------------- *)
 
 let line_of (e : expression) = e.pexp_loc.Location.loc_start.Lexing.pos_lnum
 
@@ -75,58 +78,43 @@ let col_of (e : expression) =
   e.pexp_loc.Location.loc_start.Lexing.pos_cnum
   - e.pexp_loc.Location.loc_start.Lexing.pos_bol
 
-(* Candidate callees: identifier references, one entry per distinct path,
-   first site wins.  References, not just application heads — a function
-   passed as a value ([List.map step views]) still pulls its effects into
-   the closure that takes it. *)
-let refs_of body =
-  let out = ref [] in
-  Lint_ast.iter_expr body (fun e ->
-      match Lint_ast.ident_path e with
-      | Some parts -> (
-        match ref_of_path parts with
-        | Some r -> if not (List.mem_assoc r !out) then out := (r, line_of e) :: !out
-        | None -> ())
-      | None -> ());
-  List.rev !out
+(* What the file walk gathers inside one structure-level binding's body,
+   newest first.  The walk is pre-order and the first site of each fact
+   wins, so the reversed lists are in source order. *)
+type facts = {
+  mutable refs : (string * int) list;
+  mutable intrinsics : Lint_effects.intrinsic list;
+  mutable locks : (string * int) list;
+  mutable events : event list;
+}
 
-let intrinsics_of body =
-  let out = ref [] in
-  Lint_ast.iter_expr body (fun e ->
-      match Lint_ast.ident_path e with
-      | Some parts -> (
-        match Lint_effects.intrinsic_of_path parts with
-        | Some (eff, what) ->
-          if
-            not
-              (List.exists
-                 (fun (i : Lint_effects.intrinsic) ->
-                   i.eff = eff && i.what = what)
-                 !out)
-          then
-            out :=
-              { Lint_effects.eff; what; iline = line_of e; icol = col_of e }
-              :: !out
-        | None -> ())
-      | None -> ());
-  List.rev !out
+let facts () = { refs = []; intrinsics = []; locks = []; events = [] }
 
-let locks_of body =
-  let out = ref [] in
-  Lint_ast.iter_expr body (fun e ->
-      match Lint_ast.lock_site e with
-      | Some m -> if not (List.mem_assoc m !out) then out := (m, line_of e) :: !out
-      | None -> ());
-  List.rev !out
+let rec mem_key k = function
+  | [] -> false
+  | (k', _) :: rest -> String.equal k k' || mem_key k rest
 
-(* The mutexes a [~finally] closure unlocks. *)
-let unlocks_in fin =
-  let out = ref [] in
-  Lint_ast.iter_expr fin (fun e ->
-      match Lint_ast.unlock_site e with
-      | Some m -> if not (List.mem m !out) then out := m :: !out
-      | None -> ());
-  List.rev !out
+(* An identifier in the body.  Candidate callees are references, not just
+   application heads — a function passed as a value ([List.map step
+   views]) still pulls its effects into the closure that takes it. *)
+let ident f (e : expression) path =
+  (match ref_of_path path with
+  | Some r when not (mem_key r f.refs) -> f.refs <- (r, line_of e) :: f.refs
+  | _ -> ());
+  match Lint_effects.intrinsic_of_path path with
+  | Some (eff, what)
+    when not
+           (List.exists
+              (fun (i : Lint_effects.intrinsic) ->
+                i.eff = eff && String.equal i.what what)
+              f.intrinsics) ->
+    f.intrinsics <-
+      { Lint_effects.eff; what; iline = line_of e; icol = col_of e }
+      :: f.intrinsics
+  | _ -> ()
+
+let add_event f ev =
+  if not (List.mem ev f.events) then f.events <- ev :: f.events
 
 (* Lock-order events: for each critical region in the body — a lexical
    lock→unlock span, a [Fun.protect] body whose finally unlocks, or a
@@ -135,85 +123,81 @@ let unlocks_in fin =
    references): a false "acquired while held" edge is expensive, and a
    function value that is merely captured under the lock is called
    elsewhere, outside the region. *)
-let events_of body =
-  let out = ref [] in
-  let add outer oline inner iline =
-    let ev = { outer; oline; inner; iline } in
-    if not (List.mem ev !out) then out := ev :: !out
-  in
-  let ops holder oline region =
-    Lint_ast.iter_expr region (fun x ->
-        match Lint_ast.lock_site x with
-        | Some m -> (
-          match holder with
-          | Hmutex m0 when m0 = m -> ()
-          | _ -> add holder oline (Ilock m) (line_of x))
-        | None -> (
-          match x.pexp_desc with
-          | Pexp_apply _ -> (
-            match Lint_ast.head_call x with
-            | Some (parts, _) -> (
-              match ref_of_path parts with
-              | Some r -> (
-                match holder with
-                | Hcall r0 when r0 = r -> ()
-                | _ -> add holder oline (Icall r) (line_of x))
-              | None -> ())
+let ops f holder oline region =
+  Lint_ast.iter_expr region (fun x ->
+      match Lint_ast.lock_site x with
+      | Some m -> (
+        match holder with
+        | Hmutex m0 when m0 = m -> ()
+        | _ ->
+          add_event f
+            { outer = holder; oline; inner = Ilock m; iline = line_of x })
+      | None -> (
+        match x.pexp_desc with
+        | Pexp_apply _ -> (
+          match Lint_ast.head_call x with
+          | Some (parts, _) -> (
+            match ref_of_path parts with
+            | Some r -> (
+              match holder with
+              | Hcall r0 when r0 = r -> ()
+              | _ ->
+                add_event f
+                  { outer = holder; oline; inner = Icall r; iline = line_of x })
             | None -> ())
-          | _ -> ()))
-  in
-  (* The continuation span of a statement-style lock: sequence elements up
-     to the matching unlock. *)
-  let rec span holder oline m e =
-    if Lint_ast.unlock_site e = Some m then ()
-    else
-      match e.pexp_desc with
-      | Pexp_sequence (x, rest) ->
-        if Lint_ast.unlock_site x = Some m then ()
-        else begin
-          ops holder oline x;
-          span holder oline m rest
-        end
-      | _ -> ops holder oline e
-  in
-  Lint_ast.iter_expr body (fun e ->
-      match e.pexp_desc with
-      | Pexp_sequence (a, rest) when Lint_ast.lock_site a <> None ->
-        let m = Option.get (Lint_ast.lock_site a) in
-        span (Hmutex m) (line_of a) m rest
-      | Pexp_let (Nonrecursive, [ vb ], cont)
-        when Lint_ast.lock_site vb.pvb_expr <> None ->
-        let m = Option.get (Lint_ast.lock_site vb.pvb_expr) in
-        span (Hmutex m) (line_of vb.pvb_expr) m cont
-      | _ -> (
-        match Lint_ast.fun_protect e with
-        | Some (fin, Some b) ->
-          List.iter
-            (fun m ->
-              ops (Hmutex m) (line_of e) (Lint_ast.closure_body b))
-            (unlocks_in fin)
-        | _ -> (
-          match Lint_ast.head_call e with
-          | Some (parts, args) -> (
-            match List.rev parts with
-            | name :: _
-              when String.length name > 5 && String.sub name 0 5 = "with_"
-              -> (
-              match ref_of_path parts with
-              | Some r ->
-                List.iter
-                  (fun (_, (arg : expression)) ->
-                    match arg.pexp_desc with
-                    | Pexp_fun _ ->
-                      ops (Hcall r) (line_of e) (Lint_ast.closure_body arg)
-                    | _ -> ())
-                  args
-              | None -> ())
-            | _ -> ())
-          | None -> ())));
-  List.rev !out
+          | None -> ())
+        | _ -> ()))
 
-(* --- structure walk ---------------------------------------------------------- *)
+(* The continuation span of a statement-style lock: sequence elements up
+   to the matching unlock. *)
+let rec span f holder oline m (e : expression) =
+  if Lint_ast.unlock_site e = Some m then ()
+  else
+    match e.pexp_desc with
+    | Pexp_sequence (x, rest) ->
+      if Lint_ast.unlock_site x = Some m then ()
+      else begin
+        ops f holder oline x;
+        span f holder oline m rest
+      end
+    | _ -> ops f holder oline e
+
+(* Any node of the body ([call]: its peeled application, if it is one):
+   direct lock sites, and the events of the region it opens. *)
+let node f (e : expression) ~call =
+  match e.pexp_desc, call with
+  | Pexp_sequence (a, rest), _ -> (
+    match Lint_ast.lock_site a with
+    | Some m -> span f (Hmutex m) (line_of a) m rest
+    | None -> ())
+  | Pexp_let (Nonrecursive, [ vb ], cont), _ -> (
+    match Lint_ast.lock_site vb.pvb_expr with
+    | Some m -> span f (Hmutex m) (line_of vb.pvb_expr) m cont
+    | None -> ())
+  | _, Some ((parts, args) as c) -> (
+    (match Lint_ast.lock_of c with
+    | Some m when not (mem_key m f.locks) ->
+      f.locks <- (m, line_of e) :: f.locks
+    | _ -> ());
+    match Lint_ast.protect_of c with
+    | Some (fin, Some b) ->
+      List.iter
+        (fun m -> ops f (Hmutex m) (line_of e) (Lint_ast.closure_body b))
+        (Lint_ast.unlocks_in fin)
+    | _ -> (
+      match ref_of_path parts with
+      | Some r when Lint_ast.is_with_helper parts ->
+        List.iter
+          (fun (_, (arg : expression)) ->
+            match arg.pexp_desc with
+            | Pexp_fun _ ->
+              ops f (Hcall r) (line_of e) (Lint_ast.closure_body arg)
+            | _ -> ())
+          args
+      | _ -> ()))
+  | _ -> ()
+
+(* --- structure-level bindings -------------------------------------------- *)
 
 let pat_vars p =
   let rec go acc (p : pattern) =
@@ -240,59 +224,34 @@ let rec strip_constraint (e : expression) =
 let modname_of path =
   String.capitalize_ascii Filename.(remove_extension (basename path))
 
-let extract ~path (str : structure) =
-  let modname = modname_of path in
-  let defs = ref [] in
-  let rec walk ctx items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let body = vb.pvb_expr in
-              let refs = refs_of body in
-              let intr = intrinsics_of body in
-              let locks = locks_of body in
-              let events = events_of body in
-              List.iter
-                (fun (name, (loc : Location.t)) ->
-                  let mutable_top =
-                    (not (is_function body))
-                    &&
-                    match Lint_ast.head_call (strip_constraint body) with
-                    | Some (parts, _) ->
-                      Lint_locality.mutable_alloc parts <> None
-                    | None -> false
-                  in
-                  let line = loc.loc_start.pos_lnum in
-                  let col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
-                  let intr =
-                    if mutable_top then
-                      { Lint_effects.eff = Mutates;
-                        what = Printf.sprintf "mutable %s.%s" ctx name;
-                        iline = line;
-                        icol = col }
-                      :: intr
-                    else intr
-                  in
-                  defs :=
-                    { name; ctx; line; col; refs; intrinsics = intr; locks;
-                      events }
-                    :: !defs)
-                (pat_vars vb.pvb_pat))
-            vbs
-        | Pstr_module mb -> walk_module ctx mb
-        | Pstr_recmodule mbs -> List.iter (walk_module ctx) mbs
-        | _ -> ())
-      items
-  and walk_module ctx mb =
-    match mb.pmb_name.txt, mb.pmb_expr.pmod_desc with
-    | Some m, Pmod_structure s -> walk (ctx ^ "." ^ m) s
-    | _ -> ()  (* functors and aliases: bottom *)
+let defs_of_binding ~ctx (vb : value_binding) f =
+  let body = vb.pvb_expr in
+  let refs = List.rev f.refs
+  and intr = List.rev f.intrinsics
+  and locks = List.rev f.locks
+  and events = List.rev f.events in
+  let mutable_top =
+    (not (is_function body))
+    &&
+    match Lint_ast.head_call (strip_constraint body) with
+    | Some (parts, _) -> Lint_locality.mutable_alloc parts <> None
+    | None -> false
   in
-  walk modname str;
-  { path; modname; defs = List.rev !defs }
+  List.map
+    (fun (name, (loc : Location.t)) ->
+      let line = loc.loc_start.pos_lnum in
+      let col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
+      let intrinsics =
+        if mutable_top then
+          { Lint_effects.eff = Mutates;
+            what = Printf.sprintf "mutable %s.%s" ctx name;
+            iline = line;
+            icol = col }
+          :: intr
+        else intr
+      in
+      { name; ctx; line; col; refs; intrinsics; locks; events })
+    (pat_vars vb.pvb_pat)
 
 (* --- the graph --------------------------------------------------------------- *)
 

@@ -36,11 +36,26 @@ val fqn : def -> string
 val modname_of : string -> string
 (** Module name from a path, as dune derives it. *)
 
-val extract : path:string -> Parsetree.structure -> summary
-(** One parse, one summary: value bindings (including nested [module
-    M = struct ... end] structures) with their candidate callees, effect
-    intrinsics, direct lock sites, and lock-order events.  Top-level
-    mutable bindings carry a synthesized [Mutates] intrinsic. *)
+type facts
+(** What the file walk gathers inside one structure-level binding's body:
+    candidate callees, effect intrinsics, direct lock sites and lock-order
+    events, each first site winning. *)
+
+val facts : unit -> facts
+
+val ident : facts -> Parsetree.expression -> string list -> unit
+(** An identifier (with its path) inside the body. *)
+
+val node : facts -> Parsetree.expression -> call:Lint_ast.call option -> unit
+(** Any node inside the body ([call]: its peeled application, if it is
+    one). *)
+
+val defs_of_binding :
+  ctx:string -> Parsetree.value_binding -> facts -> def list
+(** The definitions one structure-level binding in module [ctx]
+    introduces, one per variable its pattern binds, all sharing the
+    body's facts.  A top-level mutable allocation carries a synthesized
+    [Mutates] intrinsic. *)
 
 type graph = {
   files : summary array;  (** sorted by path *)

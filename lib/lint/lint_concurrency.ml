@@ -46,7 +46,7 @@ let rec releases m (e : expression) =
     | Some m' when m' = m -> true
     | _ -> (
       match Lint_ast.fun_protect e with
-      | Some (fin, _) -> Lint_ast.contains_unlock_of m fin
+      | Some (fin, _) -> List.mem m (Lint_ast.unlocks_in fin)
       | None -> false))
 
 (* --- site collection -------------------------------------------------------- *)
@@ -59,89 +59,71 @@ type sites = {
   mutable regions : region list;
 }
 
-let wait_site e =
-  match Lint_ast.head_call e with
-  | Some ([ "Condition"; "wait" ], [ (_, _); (_, m) ]) ->
-    Some (Lint_ast.expr_name m)
-  | _ -> None
+let sites () =
+  { positioned = []; unreleased = []; all_locks = []; waits = []; regions = [] }
 
-(* [with_lock t f] / [with_stripe s f]-style helpers: the closure argument
-   runs under the helper's lock. *)
-let with_helper e =
-  match Lint_ast.head_call e with
-  | Some (path, args) -> (
-    match List.rev path with
-    | name :: _ when String.length name > 5 && String.sub name 0 5 = "with_"
-      ->
-      List.find_map
-        (fun (_, a) ->
-          match a.pexp_desc with Pexp_fun _ -> Some a | _ -> None)
-        args
-    | _ -> None)
-  | None -> None
+let statement_lock s (lock : expression) cont =
+  match Lint_ast.lock_site lock with
+  | None -> ()
+  | Some m ->
+    s.positioned <- lock.pexp_loc :: s.positioned;
+    s.regions <- Cont (m, cont.pexp_loc) :: s.regions;
+    if not (releases m cont) then
+      s.unreleased <- (m, lock.pexp_loc) :: s.unreleased
 
-(* The mutexes a finally closure unlocks. *)
-let unlocks_in fin =
-  let acc = ref [] in
-  Lint_ast.iter_expr fin (fun e ->
-      match Lint_ast.unlock_site e with
-      | Some m -> acc := m :: !acc
-      | None -> ());
-  !acc
+(* The closure a [with_*] helper call runs under its lock: its first
+   [fun] argument. *)
+let with_helper (path, args) =
+  if not (Lint_ast.is_with_helper path) then None
+  else
+    List.find_map
+      (fun (_, (a : expression)) ->
+        match a.pexp_desc with Pexp_fun _ -> Some a | _ -> None)
+      args
 
-let collect (str : structure) =
-  let s =
-    {
-      positioned = [];
-      unreleased = [];
-      all_locks = [];
-      waits = [];
-      regions = [];
-    }
-  in
-  let statement_lock lock cont =
-    match Lint_ast.lock_site lock with
-    | None -> ()
-    | Some m ->
-      s.positioned <- lock.pexp_loc :: s.positioned;
-      s.regions <- Cont (m, cont.pexp_loc) :: s.regions;
-      if not (releases m cont) then
-        s.unreleased <- (m, lock.pexp_loc) :: s.unreleased
-  in
-  Lint_ast.iter_expressions str (fun e ->
-      (match Lint_ast.lock_site e with
-      | Some m -> s.all_locks <- (m, e.pexp_loc) :: s.all_locks
-      | None -> ());
-      (match wait_site e with
-      | Some m -> s.waits <- (m, e.pexp_loc) :: s.waits
-      | None -> ());
-      (match Lint_ast.fun_protect e with
-      | Some (fin, Some body) ->
-        let body = Lint_ast.closure_body body in
-        List.iter
-          (fun m -> s.regions <- Protect (m, body.pexp_loc) :: s.regions)
-          (unlocks_in fin)
-      | Some (_, None) | None -> ());
-      (match with_helper e with
-      | Some closure ->
-        let body = Lint_ast.closure_body closure in
-        s.regions <- Helper body.pexp_loc :: s.regions
-      | None -> ());
-      match e.pexp_desc with
-      | Pexp_sequence (a, b) -> statement_lock a b
-      | Pexp_let (_, [ vb ], body)
-        when (match vb.pvb_pat.ppat_desc with
-             | Ppat_construct ({ txt = Longident.Lident "()"; _ }, None) ->
-               true
-             | _ -> false) ->
-        statement_lock vb.pvb_expr body
-      | _ -> ());
-  s
+(* One node of the file walk, with its peeled application [call]: lock and
+   wait sites, the regions that hold a lock, and statement-position
+   locks. *)
+let visit s (e : expression) ~call =
+  (match call with
+  | None -> ()
+  | Some c -> (
+    (match Lint_ast.lock_of c with
+    | Some m -> s.all_locks <- (m, e.pexp_loc) :: s.all_locks
+    | None -> ());
+    (match c with
+    | [ "Condition"; "wait" ], [ (_, _); (_, m) ] ->
+      s.waits <- (Lint_ast.expr_name m, e.pexp_loc) :: s.waits
+    | _ -> ());
+    (match Lint_ast.protect_of c with
+    | Some (fin, Some body) ->
+      let body = Lint_ast.closure_body body in
+      List.iter
+        (fun m -> s.regions <- Protect (m, body.pexp_loc) :: s.regions)
+        (Lint_ast.unlocks_in fin)
+    | Some (_, None) | None -> ());
+    match with_helper c with
+    | Some closure ->
+      let body = Lint_ast.closure_body closure in
+      s.regions <- Helper body.pexp_loc :: s.regions
+    | None -> ()));
+  match e.pexp_desc with
+  | Pexp_sequence (a, b) -> statement_lock s a b
+  | Pexp_let
+      ( _,
+        [ { pvb_pat =
+              { ppat_desc =
+                  Ppat_construct ({ txt = Longident.Lident "()"; _ }, None);
+                _ };
+            pvb_expr;
+            _ } ],
+        body ) ->
+    statement_lock s pvb_expr body
+  | _ -> ()
 
 (* --- the three checks ------------------------------------------------------- *)
 
-let check ~active (str : structure) =
-  let s = collect str in
+let report ~active s =
   let acc = ref [] in
   let add rule loc message =
     if List.mem rule active then

@@ -8,6 +8,15 @@
     loops, deliberate two-level lock orders) carry inline suppressions
     with their justification. *)
 
-val check :
-  active:Lint_rule.id list -> Parsetree.structure -> Lint_rule.finding list
-(** Only rules listed in [active] fire. *)
+type sites
+(** Lock, wait and held-region sites gathered over one file. *)
+
+val sites : unit -> sites
+
+val visit : sites -> Parsetree.expression -> call:Lint_ast.call option -> unit
+(** Record one node of the file walk ([call]: its peeled application, if
+    it is one). *)
+
+val report : active:Lint_rule.id list -> sites -> Lint_rule.finding list
+(** The three checks over a file's sites; only rules listed in [active]
+    fire. *)

@@ -25,8 +25,6 @@ let effect_of_string = function
   | "mutates" -> Some Mutates
   | _ -> None
 
-let all_effects = [ Rand; Time; SharedMem; IO; Mutates ]
-
 let deep_rule = function
   | Rand -> Lint_rule.Deep_random
   | Time -> Lint_rule.Deep_time
@@ -50,43 +48,40 @@ type intrinsic = { eff : effect_; what : string; iline : int; icol : int }
 
 (* --- primitive classification ---------------------------------------------- *)
 
-let shared_mem_heads =
-  [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Thread"; "Effect" ]
-
-let io_singletons =
-  [ "print_char"; "print_string"; "print_bytes"; "print_int"; "print_float";
-    "print_endline"; "print_newline"; "prerr_char"; "prerr_string";
-    "prerr_bytes"; "prerr_int"; "prerr_float"; "prerr_endline";
-    "prerr_newline"; "read_line"; "read_int"; "read_int_opt"; "read_float";
-    "read_float_opt"; "open_in"; "open_in_bin"; "open_in_gen"; "open_out";
-    "open_out_bin"; "open_out_gen"; "stdin"; "stdout"; "stderr" ]
-
-let sys_time = [ "time"; "getenv"; "getenv_opt"; "unsafe_getenv"; "argv" ]
-
-let sys_io =
-  [ "command"; "remove"; "rename"; "mkdir"; "rmdir"; "readdir"; "chdir";
-    "getcwd"; "file_exists"; "is_directory" ]
-
-let format_io =
-  [ "printf"; "eprintf"; "print_string"; "print_newline"; "print_flush";
-    "std_formatter"; "err_formatter" ]
-
+(* One [match] on string literals: an identifier costs a few string
+   compares, and the printed name is built only on a hit. *)
 let intrinsic_of_path parts =
   let parts = match parts with "Stdlib" :: (_ :: _ as rest) -> rest | p -> p in
-  let dotted = String.concat "." parts in
-  match parts with
-  | "Random" :: _ :: _ -> Some (Rand, dotted)
-  | "Unix" :: _ :: _ -> Some (Time, dotted)
-  | [ "Sys"; f ] when List.mem f sys_time -> Some (Time, dotted)
-  | [ "Sys"; f ] when List.mem f sys_io -> Some (IO, dotted)
-  | [ "Filename"; ("temp_file" | "open_temp_file") ] -> Some (IO, dotted)
-  | head :: _ :: _ when List.mem head shared_mem_heads ->
-    Some (SharedMem, dotted)
-  | ("In_channel" | "Out_channel") :: _ :: _ -> Some (IO, dotted)
-  | [ "Printf"; ("printf" | "eprintf") ] -> Some (IO, dotted)
-  | [ "Format"; f ] when List.mem f format_io -> Some (IO, dotted)
-  | [ x ] when List.mem x io_singletons -> Some (IO, dotted)
-  | _ -> None
+  let eff =
+    match parts with
+    | "Random" :: _ :: _ -> Some Rand
+    | "Unix" :: _ :: _
+    | [ "Sys"; ("time" | "getenv" | "getenv_opt" | "unsafe_getenv" | "argv") ]
+      ->
+      Some Time
+    | ("Domain" | "Atomic" | "Mutex" | "Condition" | "Thread" | "Effect")
+      :: _ :: _ ->
+      Some SharedMem
+    | [ "Sys";
+        ( "command" | "remove" | "rename" | "mkdir" | "rmdir" | "readdir"
+        | "chdir" | "getcwd" | "file_exists" | "is_directory" ) ]
+    | [ "Filename"; ("temp_file" | "open_temp_file") ]
+    | ("In_channel" | "Out_channel") :: _ :: _
+    | [ "Printf"; ("printf" | "eprintf") ]
+    | [ "Format";
+        ( "printf" | "eprintf" | "print_string" | "print_newline"
+        | "print_flush" | "std_formatter" | "err_formatter" ) ]
+    | [ ( "print_char" | "print_string" | "print_bytes" | "print_int"
+        | "print_float" | "print_endline" | "print_newline" | "prerr_char"
+        | "prerr_string" | "prerr_bytes" | "prerr_int" | "prerr_float"
+        | "prerr_endline" | "prerr_newline" | "read_line" | "read_int"
+        | "read_int_opt" | "read_float" | "read_float_opt" | "open_in"
+        | "open_in_bin" | "open_in_gen" | "open_out" | "open_out_bin"
+        | "open_out_gen" | "stdin" | "stdout" | "stderr" ) ] ->
+      Some IO
+    | _ -> None
+  in
+  match eff with Some eff -> Some (eff, String.concat "." parts) | None -> None
 
 (* --- the fixpoint ----------------------------------------------------------- *)
 

@@ -14,18 +14,6 @@ type effect_ = Rand | Time | SharedMem | IO | Mutates
 
 val effect_to_string : effect_ -> string
 val effect_of_string : string -> effect_ option
-val all_effects : effect_ list
-
-val deep_rule : effect_ -> Lint_rule.id
-(** The [locality/transitive-*] rule a transitive occurrence fires. *)
-
-val analog : effect_ -> Lint_rule.id
-(** The shallow rule governing this effect at its origin site (I/O shares
-    [locality/time]'s scope — both are ambient-world reads). *)
-
-val shallow_reports : effect_ -> bool
-(** Whether the shallow analyzer reports this effect itself; I/O has no
-    shallow reporter, so deep findings for it are never origin-gated. *)
 
 (** A primitive effect occurrence at a source site. *)
 type intrinsic = { eff : effect_; what : string; iline : int; icol : int }
@@ -33,31 +21,6 @@ type intrinsic = { eff : effect_; what : string; iline : int; icol : int }
 val intrinsic_of_path : string list -> (effect_ * string) option
 (** Classify an identifier path ([["Random"; "int"]]); [None] for anything
     effect-free.  A leading [Stdlib] is stripped first. *)
-
-(** Where a definition's effect came from: its own primitive reference, or
-    the callee it was inherited from. *)
-type origin = Site of intrinsic | Via of int
-
-type summary = (effect_ * origin) list
-
-val infer :
-  n:int ->
-  adj:(int -> int list) ->
-  sccs:int list list ->
-  intrinsics:(int -> intrinsic list) ->
-  summary array
-(** The fixpoint: [sccs] must list components callees-first (the order
-    {!Lint_callgraph.sccs_of} emits). *)
-
-val witness :
-  name:(int -> string) ->
-  file:(int -> string) ->
-  summary array ->
-  int ->
-  effect_ ->
-  string list
-(** The call chain from definition [d] down to the primitive, outermost
-    first, ending in ["Random.int (lib/x/y.ml:12)"]. *)
 
 (** Report-site metadata for definition [d]. *)
 type def_site = { dfile : string; dname : string; dline : int; dcol : int }
@@ -72,8 +35,11 @@ val check :
   Lint_rule.finding list * int
 (** The transitive Locality re-check: drop intrinsics already governed at
     their origin (shallow analog active there, inline suppression, or
-    directory allow-list), run {!infer}, and report each surviving effect
+    directory allow-list), fold the rest over the SCCs callees first, and
+    report each surviving effect
     once per (file, rule, primitive) against {!Lint_scope.deep_rules_for}.
-    Returns the findings and the count silenced by def-site suppressions.
+    Returns the findings and the count silenced by def-site suppressions;
+    each finding carries its witness path, the call chain from the flagged
+    definition down to the primitive.
     [site] must iterate files in sorted order and definitions in line
     order — "first seen" is the report site. *)

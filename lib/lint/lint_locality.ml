@@ -48,86 +48,34 @@ let mutable_alloc path =
     Some (String.concat "." path)
   | _ -> None
 
-let check_idents ~active str add =
-  if
-    List.exists
-      (fun r ->
-        List.mem r
-          [ Lint_rule.Locality_random; Locality_time; Locality_domain;
-            Locality_hash ])
-      active
-  then
-    Lint_ast.iter_expressions str (fun e ->
-        match e.pexp_desc with
-        | Pexp_ident { txt; loc } -> (
-          match banned_ident (Lint_ast.flat txt) with
-          | Some (rule, msg) when List.mem rule active ->
-            add (Lint_rule.of_location ~rule ~message:msg loc)
-          | _ -> ())
-        | _ -> ())
-
-(* Structure-level mutable state: walk top-level bindings but never descend
-   into function bodies — state allocated per call is local, not shared. *)
-let rec scan_toplevel_expr add (e : expression) =
+(* One step of the structure-level mutable-state scan, at [e] (its ident
+   [path] or peeled [call]): report a mutable allocator, and return the
+   sub-expressions the scan continues into.  The scan starts at each
+   structure-level binding's body and never enters a function body —
+   state allocated per call is local, not shared. *)
+let scan_step ~report (e : expression) ~path ~call =
   match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ | Pexp_lazy _ -> ()
-  | _ ->
-    (match Lint_ast.head_call e with
-    | Some (path, _) -> (
-      match mutable_alloc path with
-      | Some what ->
-        add
-          (Lint_rule.of_location ~rule:Lint_rule.Locality_mutable_state
-             ~message:
-               (Printf.sprintf
-                  "%s at structure level is shared mutable state; Locality \
-                   requires step functions to own no state between calls"
-                  what)
-             e.pexp_loc)
-      | None -> ())
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ | Pexp_lazy _ -> []
+  | desc ->
+    let head = match call with Some (p, _) -> p | None -> path in
+    (match mutable_alloc head with
+    | Some what ->
+      report Lint_rule.Locality_mutable_state e.pexp_loc
+        (Printf.sprintf
+           "%s at structure level is shared mutable state; Locality requires \
+            step functions to own no state between calls"
+           what)
     | None -> ());
-    (* Recurse through value-shaped sub-expressions only.  The head of an
-       application was already judged via [head_call] above — descending
-       into it would report the same allocator twice. *)
-    let sub =
-      match e.pexp_desc with
-      | Pexp_apply (_, args) -> List.map snd args
-      | Pexp_tuple es | Pexp_array es -> es
-      | Pexp_record (fields, base) ->
-        List.map snd fields @ Option.to_list base
-      | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> Option.to_list arg
-      | Pexp_let (_, vbs, body) -> List.map (fun vb -> vb.pvb_expr) vbs @ [ body ]
-      | Pexp_sequence (a, b) -> [ a; b ]
-      | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) | Pexp_open (_, x) ->
-        [ x ]
-      | Pexp_ifthenelse (c, t, e') -> c :: t :: Option.to_list e'
-      | _ -> []
-    in
-    List.iter (scan_toplevel_expr add) sub
-
-let rec check_structure_state add (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-        List.iter (fun vb -> scan_toplevel_expr add vb.pvb_expr) vbs
-      | Pstr_module { pmb_expr; _ } -> check_module_expr add pmb_expr
-      | Pstr_recmodule mbs ->
-        List.iter (fun mb -> check_module_expr add mb.pmb_expr) mbs
-      | _ -> ())
-    str
-
-and check_module_expr add me =
-  match me.pmod_desc with
-  | Pmod_structure str -> check_structure_state add str
-  | Pmod_functor (_, body) -> check_module_expr add body
-  | Pmod_constraint (body, _) -> check_module_expr add body
-  | _ -> ()
-
-let check ~active (str : structure) =
-  let acc = ref [] in
-  let add f = acc := f :: !acc in
-  check_idents ~active str add;
-  if List.mem Lint_rule.Locality_mutable_state active then
-    check_structure_state add str;
-  List.rev !acc
+    (* Value-shaped sub-expressions only.  The head of an application was
+       already judged through [call] — descending into it would report the
+       same allocator twice. *)
+    (match desc with
+    | Pexp_apply (_, args) -> List.map snd args
+    | Pexp_tuple es | Pexp_array es -> es
+    | Pexp_record (fields, base) -> List.map snd fields @ Option.to_list base
+    | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> Option.to_list arg
+    | Pexp_let (_, vbs, body) -> List.map (fun vb -> vb.pvb_expr) vbs @ [ body ]
+    | Pexp_sequence (a, b) -> [ a; b ]
+    | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) | Pexp_open (_, x) -> [ x ]
+    | Pexp_ifthenelse (c, t, e') -> c :: t :: Option.to_list e'
+    | _ -> [])

@@ -491,6 +491,206 @@ let prop_baseline_total =
           Bench_json.write_file ~path j;
           match Lint_baseline.load path with Ok _ | Error _ -> true))
 
+(* (n) Summary equivalence.  A fixture set covering every construct the
+   per-file walk recognizes — qualified refs to repo and external modules,
+   [Stdlib.]-prefixed paths, every intrinsic class, statement locks and
+   [let () = Mutex.lock m in], [Fun.protect ~finally], [with_*] helpers,
+   [Condition.wait], [|>] and [@@] chains, nested, constrained, recursive
+   and functor modules, [let rec ... and ...], tuple and alias patterns,
+   structure-level mutable allocations, suppressions and an unparsable
+   file — is summarized and saved, and the MD5 of the cache file must
+   equal the committed digest.  That pins every summary, shallow finding
+   and suppression byte for byte.  The digest was computed at commit
+   0451948, where each rule family and each summary field had a walk of
+   its own. *)
+let golden_sources =
+  [ ( "lib/protocols/fx_proto.ml",
+      "(* intrinsics of every class, refs and pipes *)\n\
+       let coin () = Random.int 2\n\
+       let std_coin () = Stdlib.Random.bool ()\n\
+       let now () = Unix.gettimeofday () +. Sys.time ()\n\
+       let env () = Sys.getenv_opt \"HOME\", Sys.argv\n\
+       let shell () = Sys.command \"true\" + if Sys.file_exists \"x\" then 1 else 0\n\
+       let tmp () = Filename.temp_file \"a\" \"b\"\n\
+       let say x =\n\
+      \  print_string x;\n\
+      \  Stdlib.print_endline x;\n\
+      \  Printf.printf \"%s\" x;\n\
+      \  Format.printf \"%s\" x;\n\
+      \  Stdlib.Format.eprintf \"%s\" x;\n\
+      \  prerr_newline ()\n\
+       let chan () = In_channel.input_all stdin ^ Out_channel.(string_of_int 1)\n\
+       let shared () = Atomic.make 0 |> Atomic.get\n\
+       let me () = Domain.self (), Thread.self, Effect.perform\n\
+       let hash x = Hashtbl.hash x + Stdlib.Hashtbl.seeded_hash 1 x\n\
+       let step view = Helper.mix view |> List.map Fx_core.Deep.leaf @@ view\n\
+       let piped x = x |> Helper.lag |> Fun.id |> Stdlib.List.length\n\
+       let applied = Helper.mix @@ Helper.lag @@ 3\n\
+       let counter = ref 0\n\
+       let table : (int, int) Hashtbl.t = Hashtbl.create 8\n\
+       let cells = [| ref 1 |], (Queue.create (), Stack.create ())\n\
+       let (a, b) = (1, Helper.mix 2)\n\
+       let (c as d) = Helper.lag 4\n\
+       let rec even n = n = 0 || odd (n - 1)\n\
+       and odd n = n <> 0 && even (n - 1)\n\
+       let cast x = Obj.magic x\n\
+       let same k h = k.fp = h\n\
+       let lazy_cell = lazy (ref 0)\n\
+       let fresh () = ref 0\n\
+       let bare = ref\n" );
+    ( "lib/core/fx_core.ml",
+      "module Deep = struct\n\
+      \  let leaf x = Random.int x\n\
+      \  module Inner = struct\n\
+      \    let seen = Hashtbl.create 4\n\
+      \    let get k = Hashtbl.find_opt seen k |> Option.map (fun v -> leaf v)\n\
+      \  end\n\
+       end\n\
+       module Sig : sig val f : int -> int end = struct\n\
+      \  let f x = x + Random.int 3\n\
+       end\n\
+       module F (X : sig val v : int end) = struct\n\
+      \  let cell = ref X.v\n\
+      \  let g () = !cell + Unix.getpid ()\n\
+       end\n\
+       module rec R : sig val r : int -> int end = struct\n\
+      \  let r x = if x = 0 then 0 else R.r (x - 1)\n\
+       end\n\
+       module _ = struct let anon = Buffer.create 1 end\n\
+       module Alias = Deep\n\
+       let use = Deep.Inner.get 3 + Alias.leaf 2 + Stdlib.List.length []\n\
+       let local () = let module L = struct let z = ref (Sys.time ()) end in !L.z\n\
+       include struct let hidden = Random.int 9 end\n\
+       let () = print_newline ()\n\
+       (* flm-lint: allow locality/transitive-random -- fixture origin *)\n\
+       let excused () = Random.bits ()\n\
+       let with_stripe s f = ignore s; f ()\n\
+       ;;\n\
+       print_string \"eval\"\n" );
+    ( "lib/engine/fx_locks.ml",
+      "let m = Mutex.create ()\n\
+       let m2 = Mutex.create ()\n\
+       let c = Condition.create ()\n\
+       let with_lock t f =\n\
+      \  Mutex.lock t;\n\
+      \  Fun.protect ~finally:(fun () -> Mutex.unlock t) f\n\
+       let stmt g =\n\
+      \  Mutex.lock m;\n\
+      \  let r = Fx_core.Deep.leaf (g ()) in\n\
+      \  Mutex.lock m2;\n\
+      \  Mutex.unlock m;\n\
+      \  Fx_proto.coin r\n\
+       let binding g =\n\
+      \  let () = Mutex.lock m in\n\
+      \  let r = g () + Fx_core.use in\n\
+      \  Mutex.unlock m;\n\
+      \  r\n\
+       let guard g =\n\
+      \  let _held = Mutex.lock m in\n\
+      \  g ();\n\
+      \  Mutex.unlock m\n\
+       let protect g =\n\
+      \  Mutex.lock m;\n\
+      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () ->\n\
+      \      Condition.wait c m;\n\
+      \      Mutex.lock m2;\n\
+      \      Mutex.unlock m2;\n\
+      \      Fx_other.call g)\n\
+       let helper g = with_lock m (fun () -> Fx_proto.step g; Mutex.lock m2)\n\
+       let striped s g = Fx_core.with_stripe s (fun () -> Fx_locks.helper g)\n\
+       let unpaired () = Mutex.lock m\n\
+       let expr_lock () = ignore (Mutex.lock m)\n\
+       let waits () = Condition.wait c m\n\
+       let piped g =\n\
+      \  Mutex.lock m;\n\
+      \  (fun () -> g ()) |> Stdlib.Fun.protect ~finally:(fun () -> Mutex.unlock m)\n\
+       let at_at g =\n\
+      \  Mutex.lock m;\n\
+      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->\n\
+      \  Mutex.lock m2;\n\
+      \  Condition.wait c m2;\n\
+      \  g ()\n\
+       let branches p =\n\
+      \  Mutex.lock m;\n\
+      \  match p with\n\
+      \  | 0 -> Mutex.unlock m; 0\n\
+      \  | _ -> if p > 1 then (Mutex.unlock m; 1) else 2\n\
+       let boom () = failwith \"no\"\n\
+       let boom2 () = raise (Failure \"x\")\n\
+       let boom3 () = Stdlib.invalid_arg \"y\"\n\
+       let cmp a b = compare a.fkey b.nkey\n\
+       let eq a b = (a : Fingerprint.t) = b\n\
+       let ne a b = Stdlib.compare (Fingerprint.of_int a) b <> 0\n\
+       let fine a b = a = b\n" );
+    ( "lib/engine/fx_supp.ml",
+      "(* flm-lint: allow concurrency/lock-pairing -- fixture *)\n\
+       let f m g = Mutex.lock m; g ()\n\
+       (* flm-lint: allow locality/random *)\n\
+       let bad = 1\n\
+       (* flm-lint: allow bogus/rule -- why *)\n\
+       let worse = 2\n\
+       let boom () = failwith \"no\" (* flm-lint: allow hygiene/untyped-raise \
+       -- fixture *)\n" );
+    ( "lib/system/fx_sys.ml",
+      "let key = Domain.DLS.new_key (fun () -> Bytes.create 64)\n\
+       let arr = Array.make 3 0\n\
+       let cells = [ ref 1; ref 2 ]\n\
+       let now () = Unix.time ()\n\
+       let idx x = Hashtbl.hash x\n\
+       let rng = Random.State.make [| 1 |]\n" );
+    ("lib/protocols/fx_broken.ml", "let let = 1\n");
+    ( "test/fx_test.ml",
+      "let x = Obj.magic 1\nlet r = ref 0\nlet coin () = Random.int 2\n" ) ]
+
+let summary_golden () =
+  let dir = Filename.temp_file "flm-lint-golden" "" in
+  Sys.remove dir;
+  let file = Filename.concat dir "summaries.json" in
+  Lint_cache.save ~dir
+    (List.map
+       (fun (path, src) -> Flm_lint.summarize ~path src)
+       golden_sources);
+  let digest = Digest.to_hex (Digest.file file) in
+  Sys.remove file;
+  Unix.rmdir dir;
+  check tstring "summaries.json digest" "dc09c32f89c5b35a5fa59e65a0b54978" digest
+
+(* (o) Allocation gate.  The compiler-libs parse is the floor of a summary
+   and everything after it is one walk, so summarizing the fixture set
+   (minus the unparsable file) may allocate at most [ceiling] times the
+   minor words of parsing it alone.  Allocation is deterministic; one
+   warm-up pass of each takes the lexer's and printer's one-time tables
+   out of the count.  At commit 0451948, where each rule family and each
+   summary field walked the tree on its own, the ratio was 2.05x; the one
+   walk brought it to 1.42x. *)
+let alloc_gate () =
+  let sources =
+    List.filter (fun (path, _) -> path <> "lib/protocols/fx_broken.ml")
+      golden_sources
+  in
+  let parse () =
+    List.iter (fun (path, src) -> ignore (Flm_lint.parse ~path src)) sources
+  in
+  let summarize () =
+    List.iter (fun (path, src) -> ignore (Flm_lint.summarize ~path src))
+      sources
+  in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let parsing = words parse and summarizing = words summarize in
+  let ceiling = 1.7 in
+  check Alcotest.bool
+    (Printf.sprintf
+       "summarizing allocates %.0f minor words, %.2fx parsing's %.0f \
+        (ceiling %.2fx)"
+       summarizing (summarizing /. parsing) parsing ceiling)
+    true
+    (summarizing <= ceiling *. parsing)
+
 let suite =
   ( "lint",
     [ Alcotest.test_case "locality rules" `Quick locality;
@@ -511,4 +711,6 @@ let suite =
       Alcotest.test_case "summary cache" `Quick cache_roundtrip;
       Alcotest.test_case "baseline malformed entry" `Quick baseline_malformed;
       QCheck_alcotest.to_alcotest prop_baseline_total;
+      Alcotest.test_case "summary golden" `Quick summary_golden;
+      Alcotest.test_case "summary allocation gate" `Quick alloc_gate;
     ] )

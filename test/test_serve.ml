@@ -396,6 +396,61 @@ let prop_wire_total =
     (Util.near_json docs) (fun j ->
       total (Serve_proto.Request.of_json j) && total (Serve_proto.Slot.of_json j))
 
+(* Every float prints to a document that parses.  Finite floats round-trip
+   equal; NaN and the infinities, which JSON cannot spell, print as null
+   and read back as [Null]. *)
+let prop_float_print =
+  let floats =
+    QCheck.(
+      oneof
+        [ float;
+          oneofl [ nan; infinity; neg_infinity; -0.0; 1e300; 5e-324; 1e9 ] ])
+  in
+  QCheck.Test.make ~name:"json prints every float" ~count:500 floats (fun x ->
+      match Bench_json.parse (json_str (Bench_json.Obj [ "x", Float x ])) with
+      | Ok (Bench_json.Obj [ ("x", Float y) ]) ->
+        Float.is_finite x && Float.equal x y
+      | Ok (Bench_json.Obj [ ("x", Null) ]) -> not (Float.is_finite x)
+      | Ok _ | Error _ -> false)
+
+(* A non-finite figure in a bench record reads back as null, which
+   [validate] rejects with the reader's typed message. *)
+let nonfinite_record () =
+  List.iter
+    (fun x ->
+      let record =
+        Bench_json.bench_record ~experiment:"E0" ~config:[]
+          ~runs:[ Bench_json.run_record ~label:"l" ~jobs:1 ~wall_seconds:x () ]
+          ()
+      in
+      match Bench_json.parse (json_str record) with
+      | Error e -> Alcotest.failf "%h: printed record does not parse: %s" x e
+      | Ok j ->
+        check
+          Alcotest.(result unit string)
+          (Printf.sprintf "%h is rejected" x)
+          (Error "run: field \"wall_seconds\" must be a number")
+          (Bench_json.validate j))
+    [ nan; infinity; neg_infinity ]
+
+(* Containers nest at most 512 deep.  Past that the parser fails where the
+   bound is crossed, so a million opening brackets cost 512 frames, not a
+   million. *)
+let json_nesting () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  check Alcotest.bool "512 levels parse" true
+    (Result.is_ok (Bench_json.parse (nest 512)));
+  let too_deep = Error "nesting too deep at offset 512" in
+  check Alcotest.(result reject string) "513 levels are rejected" too_deep
+    (Bench_json.parse (nest 513));
+  (match Bench_json.parse (String.make 1_000_000 '[') with
+  | r ->
+    check Alcotest.(result reject string) "a million brackets" too_deep r
+  | exception Stack_overflow -> Alcotest.fail "a million brackets overflowed");
+  check Alcotest.(result reject string) "objects count too"
+    (Error "nesting too deep at offset 2560")
+    (Bench_json.parse (String.concat "" (List.init 600 (fun _ -> "{\"a\":"))))
+
 let suite =
   ( "serve-proto",
     [ Alcotest.test_case "request round-trips" `Quick requests;
@@ -410,4 +465,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parse_total;
       QCheck_alcotest.to_alcotest prop_print_parse;
       QCheck_alcotest.to_alcotest prop_wire_total;
+      QCheck_alcotest.to_alcotest prop_float_print;
+      Alcotest.test_case "non-finite bench figures" `Quick nonfinite_record;
+      Alcotest.test_case "json nesting bound" `Quick json_nesting;
     ] )
