@@ -630,6 +630,10 @@ let e21 () =
 
 (* --- E23: the deep-lint summary cache ------------------------------------------------ *)
 
+(* About twice the 0.18-0.31 ms per file measured on a 2-vCPU host
+   (EXPERIMENTS E23). *)
+let e23_warm_ms_per_file = 0.6
+
 let e23 () =
   section "E23"
     "deep lint (interprocedural effects + lock order) over the repo: cold \
@@ -643,6 +647,10 @@ let e23 () =
     Option.value ~default:d
       (Option.bind (Bench_json.member field v) Bench_json.to_string_opt)
   in
+  let runs =
+    Option.value ~default:[]
+      (Option.bind (Bench_json.member "runs" json) Bench_json.to_list_opt)
+  in
   Format.printf "%-6s | %8s | %6s | %6s | %s@." "pass" "seconds" "hits"
     "misses" "findings";
   List.iter
@@ -650,17 +658,25 @@ let e23 () =
       Format.printf "%-6s | %8.3f | %6.0f | %6.0f | %.0f@." (str "label" r "?")
         (num "wall_seconds" r) (num "cache_hits" r) (num "cache_misses" r)
         (num "findings" r))
-    (Option.value ~default:[]
-       (Option.bind (Bench_json.member "runs" json) Bench_json.to_list_opt));
-  (match Bench_json.member "derived" json with
-  | Some d ->
+    runs;
+  (* The cache is there so a warm run costs the whole-repo passes plus a
+     digest per file, not a parse per file: its expectation is a per-file
+     budget on the warm pass.  The cold/warm ratio is printed but not
+     judged, since it moves with the cost of a cold parse. *)
+  let warm = List.find_opt (fun r -> str "label" r "" = "warm") runs in
+  (match Bench_json.member "derived" json, warm with
+  | Some d, Some w ->
+    let ms_per_file = 1000.0 *. num "wall_seconds" w /. max 1.0 (num "files" w) in
     Format.printf
-      "warm speedup %.1fx (expected >= 5x); reports identical: %b@."
+      "warm pass %.3f s, %.2f ms per file (expected <= %.2f ms per file: %s); \
+       warm speedup %.1fx; reports identical: %b@."
+      (num "wall_seconds" w) ms_per_file e23_warm_ms_per_file
+      (if ms_per_file <= e23_warm_ms_per_file then "met" else "MISSED")
       (num "warm_speedup" d)
       (match Bench_json.member "findings_equal" d with
       | Some (Bench_json.Bool b) -> b
       | _ -> false)
-  | None -> ());
+  | _ -> ());
   Format.printf "wrote BENCH_E23.json@."
 
 (* --- E17: checkpoint/resume warm-start ---------------------------------------------- *)

@@ -138,6 +138,12 @@ let fail_error e =
   Format.printf "error: %a@." Flm_error.pp e;
   exit (Flm_error.exit_code e)
 
+(* Closing a store syncs what was put into it; a failed sync is typed. *)
+let close_store s =
+  match Store.close s with
+  | () -> ()
+  | exception Flm_error.Error e -> fail_error e
+
 let store_arg =
   let open Cmdliner in
   Arg.(
@@ -147,8 +153,9 @@ let store_arg =
         ~doc:
           "Checkpoint completed cells into a crash-safe certificate store at \
            $(docv) (created if missing).  Each verdict is journaled with CRC \
-           framing and fsync'd before the next cell runs, so a killed run \
-           loses at most the cell in flight.")
+           framing as its cell finishes, so a killed run loses at most the \
+           cells in flight, and the journal is fsync'd once when the batch \
+           drains, before the table is printed.")
 
 let resume_arg =
   let open Cmdliner in
@@ -512,7 +519,7 @@ let sweep_cmd =
         eng path phases
     | _ -> ());
     finish eng metrics;
-    Option.iter Store.close (Engine.store eng);
+    Option.iter close_store (Engine.store eng);
     (* A partial sweep exits with the first failure's class code, so a
        driver script can tell a timeout from a bad input at a glance. *)
     List.iter
@@ -587,7 +594,7 @@ let chaos_cmd =
         eng path phases
     | _ -> ());
     finish eng metrics;
-    Option.iter Store.close (Engine.store eng);
+    Option.iter close_store (Engine.store eng);
     (* Failed trials must be visible to scripts: exit with the first
        failure's class code rather than a blanket success. *)
     List.iter
@@ -1132,7 +1139,7 @@ let campaign_shrink_cmd =
             if !first_err = None then first_err := Some err;
             Format.printf "%s: %a@." (entry_label e) Flm_error.pp err))
       entries;
-    Store.close corpus;
+    close_store corpus;
     match !first_err with
     | Some e -> exit (Flm_error.exit_code e)
     | None -> ()

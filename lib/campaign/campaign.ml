@@ -64,8 +64,11 @@ let worker_main ~dir ~config ~w jobs =
     in
     let _ = Engine.run_all_results eng jobs in
     Engine.shutdown eng;
-    Store.close store;
-    exit 0
+    match Store.close store with
+    | () -> exit 0
+    | exception Flm_error.Error e ->
+      prerr_endline (Flm_error.to_string e);
+      exit (Flm_error.exit_code e)
 
 (* --- parent-side supervision ------------------------------------------------ *)
 
@@ -248,7 +251,10 @@ let run ~dir ?(config = default_config) spec =
           in
           let _ = Engine.run_all_results eng cube.Campaign_spec.jobs in
           Engine.shutdown eng;
-          Store.close primary;
+          let* () =
+            Flm_error.guard ~what:"campaign store" (fun () ->
+                Store.close primary)
+          in
           Ok []
         end
         else begin
@@ -299,8 +305,12 @@ let run ~dir ?(config = default_config) spec =
       in
       let corpus_total = Store.length corpus in
       let merged_records = Store.length primary in
-      Store.close corpus;
-      Store.close primary;
+      (* Closing syncs the corpus entries [harvest] recorded. *)
+      let* () =
+        Flm_error.guard ~what:"campaign store" (fun () ->
+            Store.close corpus;
+            Store.close primary)
+      in
       Ok
         {
           total;

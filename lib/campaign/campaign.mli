@@ -5,9 +5,10 @@
     round-robin over [spec.workers] forked worker processes.  Each worker
     opens its own journaled store under [<dir>/shards/<w>], builds its own
     engine (domain pool, caches, per-job deadline supervision) with
-    [resume = true], runs its shard, and exits — every completed trial is an
-    fsync'd journal record before the worker moves on, so a worker killed at
-    any point loses only its in-flight trials.  The parent never spawns a
+    [resume = true], runs its shard, and exits — every completed trial is a
+    journal record written before the worker moves on, so a worker killed
+    at any point loses only its in-flight trials, and the shard's batch
+    ends with one fsync before the worker exits.  The parent never spawns a
     domain in forked mode: all forks happen while the process is still
     single-domain, the one hard rule of mixing [Unix.fork] with the OCaml 5
     runtime.  With [spec.workers = 1] the cube runs in-process instead

@@ -101,8 +101,9 @@ let compute t job =
    a failure is final: re-running it would fail the same way.  The verdict
    cache only admits successes ({!Exec_cache.find_or_run} inserts after the
    thunk returns), so a timeout or failure is never replayed from cache.
-   The label is built only when a deadline or an error needs it. *)
-let run_job_result t job =
+   The label is built only when a deadline or an error needs it.  This is
+   the pool's per-job body: it journals but does not sync. *)
+let supervised t job =
   match
     match t.config.timeout_ms with
     | None -> compute t job
@@ -117,6 +118,25 @@ let run_job_result t job =
       ~timeout:(match e with Flm_error.Job_timeout _ -> true | _ -> false);
     Error e
 
+(* Group commit: a batch's verdicts are written to the journal as each job
+   finishes, and made durable with one fsync once the batch drains, before
+   any of them is returned.  A batch that wrote nothing does not fsync.  If
+   the fsync fails, no slot may claim durability: every success becomes the
+   typed store error. *)
+let durable t results =
+  match t.store with
+  | None -> results
+  | Some store -> (
+    match Store.sync store with
+    | Ok false -> results
+    | Ok true ->
+      Metrics.record_store_sync t.metrics;
+      results
+    | Error e -> List.map (function Ok _ -> Error e | Error _ as r -> r) results)
+
+let run_job_result t job =
+  match durable t [ supervised t job ] with [ r ] -> r | _ -> assert false
+
 (* Batches dispatch largest-first ([Job.cost]) and report per-batch
    busy/span into the metrics, from which the scheduling-efficiency figure
    is derived.  Neither affects results: the pool lands outcomes by input
@@ -130,8 +150,9 @@ let batch_stats t { Pool.participants; busy_seconds; span_seconds } =
    cannot take down the batch or perturb its ordering: outcomes land by
    input index. *)
 let run_all_results t jobs =
-  Pool.map_list ~costs:(batch_costs jobs) ~on_stats:(batch_stats t) t.pool
-    (run_job_result t) jobs
+  durable t
+    (Pool.map_list ~costs:(batch_costs jobs) ~on_stats:(batch_stats t) t.pool
+       (supervised t) jobs)
 
 let nf_jobs ~n_max ~f_max =
   List.map (fun (n, f) -> Job.Nf_cell { n; f }) (Sweep.nf_grid ~n_max ~f_max)

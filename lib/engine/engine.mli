@@ -57,7 +57,14 @@ val create :
     executing, so a re-run of the same grid skips completed cells.  Failures
     and timeouts are never persisted, exactly as they are never cached.
     {!Metrics} counts [resumed] (checkpoint hits), [recomputed] (store
-    misses that executed), and [store_writes]. *)
+    misses that executed), and [store_writes].
+
+    Each verdict is written to the journal as its job finishes, and the
+    batch ends with one {!Store.sync} before {!run_all_results} or
+    {!run_job_result} returns: every verdict a caller sees is durable, at
+    the cost of one fsync per batch that wrote, counted as [store_syncs].
+    A failed fsync turns every successful slot of the batch into the typed
+    [Store_corrupt] error. *)
 
 val jobs : t -> int
 val metrics : t -> Metrics.t
@@ -72,13 +79,16 @@ val run_job_result : t -> Job.t -> (Job.verdict, Flm_error.t) result
     the configured per-job deadline (cooperatively checked by the executor
     each round) and classifies anything thrown into {!Flm_error.t}.  Never
     raises.  Failures and timeouts are counted in {!Metrics} and never
-    cached, so a later run with a looser deadline re-executes. *)
+    cached, so a later run with a looser deadline re-executes.  A verdict
+    it journaled is synced before it returns. *)
 
 val run_all_results : t -> Job.t list -> (Job.verdict, Flm_error.t) result list
-(** Fan the batch out over the pool, each job through {!run_job_result}:
-    a raising or deadline-blowing job yields [Error _] in its slot while
-    every other job still completes — same order, same verdicts, regardless
-    of the jobs count. *)
+(** Fan the batch out over the pool, each job through the supervised
+    boundary of {!run_job_result}: a raising or deadline-blowing job yields
+    [Error _] in its slot while every other job still completes — same
+    order, same verdicts, regardless of the jobs count.  The jobs
+    themselves do not sync the store; the batch syncs once after it
+    drains. *)
 
 val nf_boundary : t -> n_max:int -> f_max:int -> Sweep.cell list
 (** Parallel, memoized {!Sweep.nf_boundary}: byte-identical cells.  The

@@ -10,6 +10,7 @@ type snapshot = {
   resumed : int;
   recomputed : int;
   store_writes : int;
+  store_syncs : int;
   executions_run : int;
   total_job_seconds : float;
   max_job_seconds : float;
@@ -32,6 +33,7 @@ type t = {
   mutable resumed : int;
   mutable recomputed : int;
   mutable store_writes : int;
+  mutable store_syncs : int;
   mutable total_job_seconds : float;
   mutable max_job_seconds : float;
   mutable sched_batches : int;
@@ -57,6 +59,7 @@ let create () =
     resumed = 0;
     recomputed = 0;
     store_writes = 0;
+    store_syncs = 0;
     total_job_seconds = 0.0;
     max_job_seconds = 0.0;
     sched_batches = 0;
@@ -83,6 +86,7 @@ let reset t =
       t.resumed <- 0;
       t.recomputed <- 0;
       t.store_writes <- 0;
+      t.store_syncs <- 0;
       t.total_job_seconds <- 0.0;
       t.max_job_seconds <- 0.0;
       t.sched_batches <- 0;
@@ -102,6 +106,9 @@ let record_recomputed t =
 
 let record_store_write t =
   with_lock t (fun () -> t.store_writes <- t.store_writes + 1)
+
+let record_store_sync t =
+  with_lock t (fun () -> t.store_syncs <- t.store_syncs + 1)
 
 let record_job t ~seconds =
   with_lock t (fun () ->
@@ -136,6 +143,7 @@ let snapshot t =
         resumed = t.resumed;
         recomputed = t.recomputed;
         store_writes = t.store_writes;
+        store_syncs = t.store_syncs;
         executions_run = Exec.total_runs () - t.exec_baseline;
         total_job_seconds = t.total_job_seconds;
         max_job_seconds = t.max_job_seconds;
@@ -163,14 +171,15 @@ let pp_snapshot ppf (s : snapshot) =
      elapsed)@   supervision:      %d failed (%d timeouts), %d \
      degradations@   executions run:   %d@   cache:            %d hits / %d \
      misses / %d evictions / %d deduped (hit rate %.1f%%)@   store:            \
-     %d resumed, %d recomputed, %d journal writes@   job wall-clock:   %.3f \
+     %d resumed, %d recomputed, %d journal writes, %d \
+     syncs@   job wall-clock:   %.3f \
      s total, %.3f s max, %.3f s mean@   scheduling:       %d batches, %.3f \
      s busy / %.3f s capacity (efficiency %.1f%%)@]"
     s.jobs_completed (jobs_per_second s) s.elapsed_seconds s.jobs_failed
     s.jobs_timed_out s.degraded s.executions_run s.cache_hits
     s.cache_misses s.evictions s.dedups
     (100.0 *. hit_rate s)
-    s.resumed s.recomputed s.store_writes
+    s.resumed s.recomputed s.store_writes s.store_syncs
     s.total_job_seconds s.max_job_seconds
     (if s.jobs_completed = 0 then 0.0
      else s.total_job_seconds /. float_of_int s.jobs_completed)

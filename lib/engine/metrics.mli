@@ -25,6 +25,8 @@ type snapshot = {
       (** verdicts actually executed while a persistent store was attached
           (store misses — the cells a resumed sweep still had to run) *)
   store_writes : int;  (** journal records appended (checkpoints written) *)
+  store_syncs : int;
+      (** journal fsyncs: at most one per batch that appended a record *)
   executions_run : int;
   total_job_seconds : float;
   max_job_seconds : float;
@@ -61,6 +63,9 @@ val record_recomputed : t -> unit
 
 val record_store_write : t -> unit
 (** A verdict was journaled to the persistent store. *)
+
+val record_store_sync : t -> unit
+(** A batch's journal writes were made durable with one fsync. *)
 
 val record_job : t -> seconds:float -> unit
 

@@ -538,6 +538,6 @@ let run ?(on_ready = fun () -> ()) ?(log = fun _ -> ()) cfg =
       (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
       drain reg;
       let report = final_report server in
-      teardown_engine ();
+      let* () = Flm_error.guard ~what:"serve" teardown_engine in
       log "drained; engine and store closed";
       Ok report)

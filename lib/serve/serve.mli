@@ -26,7 +26,7 @@
     {b Shutdown.}  SIGTERM/SIGINT flip a stop flag: the accept loop
     closes and unlinks the socket, sessions finish their in-flight
     request and drain, the engine's domains are joined, and the store
-    (every completed verdict already fsync'd by {!Store.put}) is closed —
+    (every answered verdict already synced by its batch) is closed —
     a drained daemon leaves a journal indistinguishable from a batch
     run's. *)
 

@@ -123,7 +123,17 @@ let scan path =
 
 (* --- appending --------------------------------------------------------------- *)
 
-type writer = { fd : Unix.file_descr; path : string }
+(* [written] is the file offset just past the last frame written; the bytes
+   below [synced] are known durable.  A failed fsync is kept in [failed]:
+   the kernel may already have dropped the dirty pages, and it reports the
+   error once, so no later fsync on this writer may be read as success. *)
+type writer = {
+  fd : Unix.file_descr;
+  path : string;
+  mutable written : int;
+  mutable synced : int;
+  mutable failed : Flm_error.t option;
+}
 
 let write_all fd s =
   let len = String.length s in
@@ -148,18 +158,41 @@ let open_append ?truncate_at path =
     | _ -> size
   in
   if size < String.length magic then begin
-    (* Fresh file, or a torn magic header: restart the journal. *)
+    (* Fresh file, or a torn magic header: restart the journal.  The header
+       is made durable by the first {!sync}, with the frames after it. *)
     Unix.ftruncate fd 0;
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
     write_all fd magic;
-    Unix.fsync fd
+    { fd; path; written = String.length magic; synced = 0; failed = None }
   end
-  else ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  { fd; path }
+  else begin
+    ignore (Unix.lseek fd 0 Unix.SEEK_END);
+    { fd; path; written = size; synced = size; failed = None }
+  end
 
 let append w payload =
-  write_all w.fd (frame payload);
-  Unix.fsync w.fd
+  let frame = frame payload in
+  write_all w.fd frame;
+  w.written <- w.written + String.length frame
+
+let sync w =
+  match w.failed with
+  | Some e -> Error e
+  | None when w.synced = w.written -> Ok false
+  | None -> (
+    match Unix.fsync w.fd with
+    | () ->
+      w.synced <- w.written;
+      Ok true
+    | exception Unix.Unix_error (e, _, _) ->
+      let e =
+        corrupt w.path w.synced
+          (Printf.sprintf
+             "fsync failed (%s): bytes %d..%d may not survive a power loss"
+             (Unix.error_message e) w.synced w.written)
+      in
+      w.failed <- Some e;
+      Error e)
 
 let close w = Unix.close w.fd
 

@@ -5,13 +5,17 @@
 
     {v [u32 LE payload length][u32 LE CRC-32 of payload][payload bytes] v}
 
-    {b Crash safety.}  Appends write one whole frame and [fsync] before
-    returning, so a record is either durable and verifiable or detectably
-    absent.  A [kill -9] mid-append leaves a {e torn tail}: {!scan} detects
-    it (declared length overruns the file, or the trailing CRC fails) and
-    reports a typed {!Flm_error.Store_corrupt} instead of deserializing
-    garbage.  A bit-flipped payload fails its CRC and is skipped, with the
-    scan resuming at the next frame; a corrupted {e length} field desynchronizes
+    {b Crash safety.}  {!append} writes one whole frame with [write(2)];
+    once that returns, the bytes are in the kernel, so the record survives
+    [kill -9] of the writing process.  {!sync} is the separate durability
+    step: one [fsync] covers every frame appended since the last one, so a
+    batch of appends pays for one disk flush.  A crash — a kill mid-append,
+    or a power loss before the sync — leaves a {e torn tail}: {!scan}
+    detects it (declared length overruns the file, or the trailing CRC
+    fails) and reports a typed {!Flm_error.Store_corrupt} instead of
+    deserializing garbage; the whole frames before it scan back.  A
+    bit-flipped payload fails its CRC and is skipped, with the scan
+    resuming at the next frame; a corrupted {e length} field desynchronizes
     framing, so the scan abandons the remainder of the file (one corruption
     report covers the lost tail) — {!Store.gc} rewrites a clean journal from
     the surviving records.
@@ -54,8 +58,19 @@ val open_append : ?truncate_at:int -> string -> writer
     Raises [Unix.Unix_error] on filesystem failure. *)
 
 val append : writer -> string -> unit
-(** Frame the payload (length + CRC), write, and [fsync].  Thread-unsafe by
-    itself; {!Store} serializes appends under its lock. *)
+(** Frame the payload (length + CRC) and write it.  No [fsync]: the frame
+    survives a killed process at once and a power loss after the next
+    {!sync}.  Thread-unsafe by itself; {!Store} serializes appends under its
+    lock.  Raises [Unix.Unix_error] when the write fails. *)
+
+val sync : writer -> (bool, Flm_error.t) result
+(** Make every frame appended so far durable with one [fsync].  [Ok false]
+    when nothing was appended since the last sync (no system call), [Ok
+    true] after an [fsync].  A failed [fsync] is a typed
+    {!Flm_error.Store_corrupt} at the first byte not known durable, and it
+    is sticky: the kernel may already have dropped the unwritten pages and
+    reports that once, so every later [sync] of this writer answers the
+    same error. *)
 
 val close : writer -> unit
 

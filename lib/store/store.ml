@@ -118,6 +118,10 @@ let put t ~key payload =
         if previous = None then t.order <- k :: t.order;
         Hashtbl.replace t.index k (key, payload))
 
+let sync t =
+  with_lock t (fun () ->
+      match t.writer with None -> Ok false | Some w -> Journal.sync w)
+
 let length t = with_lock t (fun () -> Hashtbl.length t.index)
 let corruptions t = with_lock t (fun () -> t.corruptions)
 
@@ -208,12 +212,14 @@ let merge_from t dir =
         incr folded)
       (List.rev !order);
     with_lock t (fun () -> t.corruptions <- t.corruptions @ !bad);
-    Ok !folded
+    Result.map (fun _ -> !folded) (sync t)
 
 let close t =
+  let synced = sync t in
   with_lock t (fun () ->
       Option.iter Journal.close t.writer;
-      t.writer <- None)
+      t.writer <- None);
+  Result.iter_error Flm_error.raise_error synced
 
 let verify dir =
   let path = Filename.concat dir journal_name in

@@ -8,11 +8,16 @@
     The engine keys records by job descriptors ({!Fingerprint} descriptors /
     [Job.describe]); the store itself is agnostic.
 
-    {b Durability contract.}  {!put} returns only after the record is framed
-    (length + CRC-32), written, and fsynced, so a completed cell survives
-    [kill -9].  {!open_dir} scans the journal and {e skips} — never
-    deserializes — any record it cannot verify (torn tail, CRC mismatch,
-    unknown codec version), reporting each as a typed
+    {b Durability contract.}  {!put} returns once the record is framed
+    (length + CRC-32) and written to the journal, so it survives [kill -9]
+    of the process.  {!sync} makes every record put since the last sync
+    durable against an OS crash or power loss with one [fsync]; the engine
+    calls it once per batch, after the batch drains and before it returns
+    a verdict, and {!close} and {!merge_from} call it at their ends.  A
+    crash before the sync can lose at most the unsynced suffix of the
+    journal, which reopens as a torn tail.  {!open_dir} scans the journal
+    and {e skips} — never deserializes — any record it cannot verify (torn
+    tail, CRC mismatch, unknown codec version), reporting each as a typed
     {!Flm_error.Store_corrupt} in {!corruptions}; a resumed sweep simply
     recomputes what was lost.  Duplicate keys are last-writer-wins on scan;
     {!put} of an already-stored equal payload is a no-op (no journal
@@ -42,9 +47,17 @@ val find : t -> Value.t -> Value.t option
 val mem : t -> Value.t -> bool
 
 val put : t -> key:Value.t -> Value.t -> unit
-(** Durable once returned (fsync'd journal append).  Overwriting a key with
-    a different payload appends a superseding record ({!gc} drops the old
+(** Written to the journal once returned (it survives [kill -9]); durable
+    against power loss after the next {!sync}.  Overwriting a key with a
+    different payload appends a superseding record ({!gc} drops the old
     one); overwriting with an equal payload is a no-op. *)
+
+val sync : t -> (bool, Flm_error.t) result
+(** One [fsync] of the journal, only if a record was put since the last
+    sync: [Ok true] when it flushed, [Ok false] when there was nothing to
+    flush.  A failed flush is a typed [Store_corrupt], and it stays failed
+    (see {!Journal.sync}): no later sync of this store reports durability
+    it cannot vouch for. *)
 
 val length : t -> int
 (** Distinct live keys. *)
@@ -81,10 +94,14 @@ val merge_from : t -> string -> (int, Flm_error.t) result
     records folded.  Corrupt foreign records are skipped, their typed
     reports appended to {!corruptions}; [Error _] only when [dir]'s journal
     cannot be trusted at all (bad magic / unreadable), in which case [t] is
-    untouched.  Merging is crash-safe: every fold step is a durable {!put},
-    so a merge killed midway leaves [t] a valid prefix of the merge. *)
+    untouched.  Merging is crash-safe: every fold step is a {!put}, so a
+    merge killed midway leaves [t] a valid prefix of the merge, and the
+    merge ends with one {!sync}, whose failure is its [Error _]. *)
 
 val close : t -> unit
+(** {!sync}, then release the journal.  Raises [Flm_error.Error
+    (Store_corrupt _)] when that final sync fails; the file is closed
+    either way. *)
 
 val verify : string -> (int * Flm_error.t list, Flm_error.t) result
 (** [verify dir] re-scans the journal from disk without opening a store:

@@ -79,8 +79,15 @@ let encode v =
   encode_value buf v;
   Buffer.contents buf
 
-let rec decode_value s pos =
+(* Every nesting level costs a stack frame; the bound keeps a hostile record
+   (a long run of 'P' bytes) a [Malformed] instead of a stack overflow. *)
+let max_depth = 512
+
+let rec decode_value s pos depth =
   need s pos 1 "tag";
+  if depth >= max_depth then
+    malformed "nesting deeper than %d at offset %d" max_depth pos;
+  let depth = depth + 1 in
   match s.[pos] with
   | 'U' -> Value.Unit, pos + 1
   | 'B' ->
@@ -100,15 +107,15 @@ let rec decode_value s pos =
     need s pos n "string body";
     Value.String (String.sub s pos n), pos + n
   | 'P' ->
-    let a, pos = decode_value s (pos + 1) in
-    let b, pos = decode_value s pos in
+    let a, pos = decode_value s (pos + 1) depth in
+    let b, pos = decode_value s pos depth in
     Value.Pair (a, b), pos
   | 'L' ->
     let n, pos = get_u32 s (pos + 1) in
     let rec go acc pos k =
       if k = 0 then List.rev acc, pos
       else
-        let v, pos = decode_value s pos in
+        let v, pos = decode_value s pos depth in
         go (v :: acc) pos (k - 1)
     in
     let vs, pos = go [] pos n in
@@ -117,12 +124,12 @@ let rec decode_value s pos =
     let n, pos = get_u32 s (pos + 1) in
     need s pos n "tag name";
     let c = String.sub s pos n in
-    let payload, pos = decode_value s (pos + n) in
+    let payload, pos = decode_value s (pos + n) depth in
     Value.Tag (c, payload), pos
   | c -> malformed "unknown tag byte %#x at offset %d" (Char.code c) pos
 
 let decode s =
-  let v, pos = decode_value s 0 in
+  let v, pos = decode_value s 0 0 in
   if pos <> String.length s then
     malformed "trailing garbage: %d bytes after value" (String.length s - pos);
   v
@@ -140,8 +147,8 @@ let decode_record s =
   need s 0 1 "record version";
   let v = Char.code s.[0] in
   if v <> version then malformed "unsupported record version %d" v;
-  let key, pos = decode_value s 1 in
-  let payload, pos = decode_value s pos in
+  let key, pos = decode_value s 1 0 in
+  let payload, pos = decode_value s pos 0 in
   if pos <> String.length s then
     malformed "trailing garbage: %d bytes after record" (String.length s - pos);
   key, payload

@@ -17,8 +17,11 @@ val version : int
 
 exception Malformed of string
 (** Raised by the decoders on truncated input, an unknown tag byte, a length
-    that overruns the buffer, or trailing garbage.  The journal layer turns
-    it into a typed {!Flm_error.Store_corrupt}. *)
+    that overruns the buffer, nesting deeper than 512 levels, or trailing
+    garbage.  It is the only exception they raise, whatever the input.  The
+    journal layer turns it into a typed {!Flm_error.Store_corrupt}.  No
+    stored value comes near the nesting bound: the deepest, a campaign
+    corpus entry, nests 8 levels. *)
 
 val encode : Value.t -> string
 

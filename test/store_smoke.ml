@@ -239,9 +239,10 @@ let merge_round () =
   | _ -> fail "lww: foreign record did not supersede the local one");
   if Store.length store <> 20 then fail "lww: key count changed";
   Store.close store;
-  (* SIGKILL mid-merge: a large source makes the fsync'd fold slow enough
-     to kill partway.  Whatever survives must be a valid store, and a
-     re-merge must complete to the byte-identical clean result. *)
+  (* SIGKILL during a merge of a large source.  The fold writes each record
+     without an fsync, so it may finish before the kill lands; either way
+     whatever survives must be a valid store, and a re-merge must complete
+     to the byte-identical clean result. *)
   let big = dir "big" in
   seed_source big (List.init 400 (fun i -> i + 1000));
   let clean = dir "clean" in

@@ -295,6 +295,45 @@ let fingerprints () =
        (Fingerprint.of_value
           (Value.list [ Value.list [ Value.int 1; Value.int 2 ] ])))
 
+(* Group commit: a batch that journals verdicts fsyncs once, after it
+   drains; a batch of cache hits writes nothing and does not fsync. *)
+let group_commit () =
+  let dir = Filename.temp_dir "flm_group_commit" "" in
+  let store =
+    match Store.open_dir dir with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Flm_error.to_string e)
+  in
+  let eng = Engine.create ~jobs:1 ~store () in
+  let counts () =
+    let s = Metrics.snapshot (Engine.metrics eng) in
+    s.Metrics.store_writes, s.Metrics.store_syncs
+  in
+  let chaos () =
+    let slots =
+      Engine.chaos eng ~family:"complete:5" ~f:1 ~seed:7 ~strategy:"chaos"
+        ~trials:4
+    in
+    check tbool "every trial answers" true (List.for_all Result.is_ok slots)
+  in
+  let moved what f (writes, syncs) =
+    let w0, s0 = counts () in
+    f ();
+    let w1, s1 = counts () in
+    check tint (what ^ ": journal writes") writes (w1 - w0);
+    check tint (what ^ ": syncs") syncs (s1 - s0)
+  in
+  moved "four chaos trials" chaos (4, 1);
+  moved "the same trials, all cache hits" chaos (0, 0);
+  moved "a sweep" (fun () -> ignore (Engine.nf_boundary eng ~n_max:6 ~f_max:1))
+    (List.length (Sweep.nf_grid ~n_max:6 ~f_max:1), 1);
+  Engine.shutdown eng;
+  Store.close store;
+  check tbool "every write is in the journal" true
+    (Store.verify dir = Ok (fst (counts ()), []));
+  Sys.remove (Filename.concat dir "journal.flm");
+  Sys.rmdir dir
+
 let suite =
   ( "engine",
     [ Alcotest.test_case "determinism: parallel = sequential" `Quick determinism;
@@ -309,4 +348,5 @@ let suite =
       Alcotest.test_case "pool ordering" `Quick pool_ordering;
       Alcotest.test_case "pool exception" `Quick pool_exception;
       Alcotest.test_case "fingerprints" `Quick fingerprints;
+      Alcotest.test_case "group commit: one sync per batch" `Quick group_commit;
     ] )

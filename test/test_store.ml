@@ -315,6 +315,153 @@ let engine_resume () =
        (Job.run (Job.Certify { problem = Job.Ba; n = 3; f = 1 }))
     = None)
 
+(* (f) Every crash point of a real journal.  Appends are not fsynced one by
+   one, so an OS crash may cut the file anywhere after the last sync: for
+   every byte offset, the scan must return exactly the whole frames before
+   the cut, and appending at its [valid_end] must land a frame that scans
+   back after them. *)
+let journal_crash_points () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "journal.flm" in
+  let payloads =
+    List.init 24 (fun i ->
+        Store_codec.encode_record
+          ~key:(Value.tag "cell" (Value.int i))
+          ~payload:(Value.string (String.make (7 * i) (Char.chr (97 + (i mod 26))))))
+  in
+  let w = Journal.open_append path in
+  List.iter (Journal.append w) payloads;
+  check tbool "the batch syncs once" true (Journal.sync w = Ok true);
+  check tbool "a clean writer does not sync" true (Journal.sync w = Ok false);
+  Journal.close w;
+  let whole = read_file path in
+  check tbool "a journal of a few KB" true (String.length whole > 2048);
+  (* [ends.(i)] is the offset just past frame [i]. *)
+  let ends =
+    let pos = ref (String.length Journal.magic) in
+    Array.of_list
+      (List.map
+         (fun p ->
+           pos := !pos + 8 + String.length p;
+           !pos)
+         payloads)
+  in
+  let bad = ref [] in
+  for cut = 0 to String.length whole do
+    write_file path (String.sub whole 0 cut);
+    let whole_frames =
+      List.filteri (fun i _ -> ends.(i) <= cut) payloads
+    in
+    let boundary =
+      cut = 0 || cut = String.length Journal.magic
+      || Array.exists (( = ) cut) ends
+    in
+    let ok =
+      match Journal.scan path with
+      | exception _ -> false
+      | Error _ -> false
+      | Ok { Journal.records; corruptions; valid_end; _ } ->
+        List.map snd records = whole_frames
+        && List.length corruptions = (if boundary then 0 else 1)
+        &&
+        let w = Journal.open_append ~truncate_at:valid_end path in
+        Journal.append w "resumed";
+        Journal.close w;
+        match Journal.scan path with
+        | Ok { Journal.records; corruptions = []; _ } ->
+          List.map snd records = whole_frames @ [ "resumed" ]
+        | Ok _ | Error _ -> false
+    in
+    if not ok then bad := cut :: !bad
+  done;
+  check (Alcotest.list tint) "every cut scans its whole frames and resumes" []
+    (List.rev !bad);
+  (* A failed fsync is typed, names the first byte not known durable, and
+     stays failed: fsync on a closed descriptor fails with EBADF. *)
+  let w = Journal.open_append path in
+  Journal.append w "unsynced";
+  Journal.close w;
+  let first = Journal.sync w in
+  check tbool "failed sync is a typed Store_corrupt" true
+    (match first with Error (Flm_error.Store_corrupt _) -> true | _ -> false);
+  check tbool "failed sync is sticky" true (Journal.sync w = first)
+
+(* (g) The codec's nesting bound: one stack frame per level, so a record
+   of nothing but pair tags must be [Malformed], not a stack overflow. *)
+let nesting_bound () =
+  let rec nest k v = if k = 0 then v else nest (k - 1) (Value.tag "t" v) in
+  let deepest = nest 511 Value.unit in
+  check tbool "512 levels decode" true
+    (Value.equal deepest (Store_codec.decode (Store_codec.encode deepest)));
+  let malformed s =
+    match Store_codec.decode s with
+    | _ -> false
+    | exception Store_codec.Malformed _ -> true
+  in
+  check tbool "513 levels are malformed" true
+    (malformed (Store_codec.encode (Value.tag "t" deepest)));
+  check tbool "a million pairs deep is malformed" true
+    (malformed (String.make 1_000_000 'P'))
+
+(* (h) The store's decoders are total.  [decode_record] on arbitrary bytes,
+   on truncations and on byte flips of valid records returns a record or
+   raises [Malformed], never another exception; valid records round-trip;
+   [Journal.scan] over arbitrary bytes after the magic never raises. *)
+let record_gen =
+  QCheck.Gen.(pair Test_value.value_gen Test_value.value_gen)
+
+let prop_record_round_trip =
+  QCheck.Test.make ~name:"store records round-trip" ~count:300
+    (QCheck.make record_gen) (fun (key, payload) ->
+      let k, p =
+        Store_codec.decode_record (Store_codec.encode_record ~key ~payload)
+      in
+      Value.equal k key && Value.equal p payload)
+
+let prop_record_decoder_total =
+  let edited =
+    let open QCheck.Gen in
+    record_gen >>= fun (key, payload) ->
+    let r = Store_codec.encode_record ~key ~payload in
+    let n = String.length r in
+    oneof
+      [ map (fun cut -> String.sub r 0 cut) (int_bound n);
+        map2
+          (fun at b ->
+            String.mapi (fun i c -> if i = at mod n then Char.chr b else c) r)
+          nat (int_bound 255);
+      ]
+  in
+  QCheck.Test.make ~name:"store record decoder is total" ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         frequency
+           [ 1, string_size (int_bound 64);
+             1, map (fun s -> "\001" ^ s) (string_size (int_bound 64));
+             1, map (fun n -> "\001" ^ String.make n 'P') (int_range 500 5000);
+             4, edited;
+           ]))
+    (fun s ->
+      match Store_codec.decode_record s with
+      | _ -> true
+      | exception Store_codec.Malformed _ -> true)
+
+let prop_scan_total =
+  let dir = lazy (fresh_dir ()) in
+  QCheck.Test.make ~name:"journal scan is total" ~count:300
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size (int_bound 200)))
+    (fun tail ->
+      let path = Filename.concat (Lazy.force dir) "journal.flm" in
+      write_file path (Journal.magic ^ tail);
+      match Journal.scan path with
+      | Ok { Journal.valid_end; records; _ } ->
+        valid_end <= String.length Journal.magic + String.length tail
+        && List.for_all
+             (fun (offset, payload) -> offset + 8 + String.length payload <= valid_end)
+             records
+      | Error _ -> false)
+
 let suite =
   ( "store",
     [ Alcotest.test_case "crc32 vectors" `Quick crc32;
@@ -322,4 +469,9 @@ let suite =
       Alcotest.test_case "journal crash safety" `Quick journal;
       Alcotest.test_case "store semantics" `Quick store;
       Alcotest.test_case "engine checkpoint/resume" `Quick engine_resume;
+      Alcotest.test_case "journal crash points" `Quick journal_crash_points;
+      Alcotest.test_case "codec nesting bound" `Quick nesting_bound;
+      QCheck_alcotest.to_alcotest prop_record_round_trip;
+      QCheck_alcotest.to_alcotest prop_record_decoder_total;
+      QCheck_alcotest.to_alcotest prop_scan_total;
     ] )
