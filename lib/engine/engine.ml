@@ -137,12 +137,11 @@ let durable t results =
 let run_job_result t job =
   match durable t [ supervised t job ] with [ r ] -> r | _ -> assert false
 
-(* Batches dispatch largest-first ([Job.cost]) and report per-batch
+(* Batches dispatch largest-first ([Job.cost], which the pool evaluates
+   only for a batch it hands to worker domains) and report per-batch
    busy/span into the metrics, from which the scheduling-efficiency figure
    is derived.  Neither affects results: the pool lands outcomes by input
    index whatever the dispatch order. *)
-let batch_costs jobs = Array.of_list (List.map Job.cost jobs)
-
 let batch_stats t { Pool.participants; busy_seconds; span_seconds } =
   Metrics.record_schedule t.metrics ~participants ~busy_seconds ~span_seconds
 
@@ -151,7 +150,7 @@ let batch_stats t { Pool.participants; busy_seconds; span_seconds } =
    input index. *)
 let run_all_results t jobs =
   durable t
-    (Pool.map_list ~costs:(batch_costs jobs) ~on_stats:(batch_stats t) t.pool
+    (Pool.map_list ~cost:Job.cost ~on_stats:(batch_stats t) t.pool
        (supervised t) jobs)
 
 let nf_jobs ~n_max ~f_max =

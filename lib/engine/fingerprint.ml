@@ -5,23 +5,27 @@ let fnv_prime = 0x100000001b3L
 
 let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
-let add_int64 h x =
-  let rec go h i =
-    if i >= 8 then h
-    else
-      go
-        (byte h (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff))
-        (i + 1)
-  in
-  go h 0
+(* The hashers below keep the running hash in a local reference, which the
+   compiler holds unboxed: a hasher boxes one [int64], the one it returns,
+   however many bytes it folds in.  Each starts with its constructor's tag
+   byte, so hashing one [Value.t] node boxes at most once. *)
 
-let add_int h i = add_int64 h (Int64.of_int i)
-let add_bool h b = byte h (if b then 1 else 0)
-let add_float h f = add_int64 h (Int64.bits_of_float f)
+(* The eight bytes of [x], least significant first. *)
+let[@inline] add_bytes64 h x =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+  done;
+  !h
 
-let add_string h s =
-  let h = add_int h (String.length s) in
-  String.fold_left (fun h c -> byte h (Char.code c)) h s
+let[@inline] add_int64 h tag x = add_bytes64 (byte h tag) x
+
+let add_string h tag s =
+  let h = ref (add_bytes64 (byte h tag) (Int64.of_int (String.length s))) in
+  for i = 0 to String.length s - 1 do
+    h := byte !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
 
 (* Each constructor contributes a distinct tag byte, and every
    variable-length form is length-prefixed, so the encoding is
@@ -29,14 +33,16 @@ let add_string h s =
 let rec add_value h (v : Value.t) =
   match v with
   | Value.Unit -> byte h 0x10
-  | Value.Bool b -> add_bool (byte h 0x11) b
-  | Value.Int i -> add_int (byte h 0x12) i
-  | Value.Float f -> add_float (byte h 0x13) f
-  | Value.String s -> add_string (byte h 0x14) s
+  | Value.Bool b -> byte (byte h 0x11) (if b then 1 else 0)
+  | Value.Int i -> add_int64 h 0x12 (Int64.of_int i)
+  | Value.Float f -> add_int64 h 0x13 (Int64.bits_of_float f)
+  | Value.String s -> add_string h 0x14 s
   | Value.Pair (a, b) -> add_value (add_value (byte h 0x15) a) b
   | Value.List vs ->
-    List.fold_left add_value (add_int (byte h 0x16) (List.length vs)) vs
-  | Value.Tag (c, payload) -> add_value (add_string (byte h 0x17) c) payload
+    List.fold_left add_value
+      (add_int64 h 0x16 (Int64.of_int (List.length vs)))
+      vs
+  | Value.Tag (c, payload) -> add_value (add_string h 0x17 c) payload
 
 let of_value v = add_value fnv_offset v
 let equal = Int64.equal

@@ -66,35 +66,43 @@ let cert_problem_of_string = function
 
 let bool_default = Value.bool false
 
+(* [kind[seed=S,trial=T,strategy=X]]: a trial's coordinates in its
+   descriptor.  Spelled out without [Printf], because a warm batch builds
+   one descriptor per trial to look its verdict up. *)
+let trial_coords kind ~seed ~trial ~strategy =
+  String.concat ""
+    [ kind; "[seed="; string_of_int seed; ",trial="; string_of_int trial;
+      ",strategy="; strategy; "]" ]
+
 (* Derived deterministically from the spec; recorded in the descriptor so a
    fingerprint pins the whole problem x topology x f x protocol x horizon
    tuple, not just the spec fields. *)
 let shape = function
   | Nf_cell { n; f } ->
-    "nf-cell", Printf.sprintf "complete:%d" n, n, f, "eig",
+    "nf-cell", "complete:" ^ string_of_int n, n, f, "eig",
     Eig.decision_round ~f + 1
   | Conn_cell { kappa; n; f } ->
-    "conn-cell", Printf.sprintf "harary:%d:%d" kappa n, n, f,
-    "dolev-relay/flood-vote", n / 2 + 3
+    ( "conn-cell",
+      String.concat ":" [ "harary"; string_of_int kappa; string_of_int n ],
+      n, f, "dolev-relay/flood-vote", n / 2 + 3 )
   | Certify { problem = Ba; n; f } ->
-    "certify:ba", Printf.sprintf "complete:%d" n, n, f, "eig",
+    "certify:ba", "complete:" ^ string_of_int n, n, f, "eig",
     Eig.decision_round ~f + 1
   | Certify { problem = Ba_collapse; n; f } ->
-    "certify:ba-collapse", Printf.sprintf "complete:%d" n, n, f, "eig",
+    "certify:ba-collapse", "complete:" ^ string_of_int n, n, f, "eig",
     Eig.decision_round ~f + 1
   | Certify { problem = Ba_conn; n; f } ->
-    "certify:ba-conn", Printf.sprintf "cycle:%d" n, n, f, "flood-vote", n + 3
+    "certify:ba-conn", "cycle:" ^ string_of_int n, n, f, "flood-vote", n + 3
   | Chaos_trial { family; f; seed; strategy; trial } ->
     (* n/protocol/horizon are derived inside [run] after the family parses;
        the descriptor pins the full seed coordinates instead, which is what
        makes two trials distinct cache keys. *)
-    ( Printf.sprintf "chaos[seed=%d,trial=%d,strategy=%s]" seed trial strategy,
+    ( trial_coords "chaos" ~seed ~trial ~strategy,
       family, 0, f, "chaos-target", 0 )
   | Campaign_trial { protocol; family; f; seed; strategy; trial } ->
     (* Unlike chaos trials, the protocol is an explicit cube axis, so it is
        part of the descriptor rather than implied by the topology. *)
-    ( Printf.sprintf "campaign[seed=%d,trial=%d,strategy=%s]" seed trial
-        strategy,
+    ( trial_coords "campaign" ~seed ~trial ~strategy,
       family, 0, f, protocol, 0 )
 
 let describe job =

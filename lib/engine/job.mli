@@ -123,9 +123,10 @@ val label : t -> string
 
 val cost : t -> int
 (** Relative work estimate ([>= 1], unitless): executions x n^2 x horizon.
-    The engine hands these to {!Pool.map} so batches dispatch largest-first;
-    only the ordering between jobs matters.  Never raises — a malformed
-    spec costs [1] and fails in {!run}. *)
+    The engine hands [cost] to {!Pool.map}, which evaluates it only for a
+    batch it dispatches to worker domains, so such batches go out
+    largest-first; only the ordering between jobs matters.  Never raises —
+    a malformed spec costs [1] and fails in {!run}. *)
 
 val run : t -> verdict
 (** Execute the job sequentially in the calling domain, uncached. *)

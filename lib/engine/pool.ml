@@ -6,8 +6,8 @@ type batch = {
   run : int -> unit;
   len : int;
   order : int array;
-      (* claim position -> item index; identity without costs, a
-         largest-first permutation with them *)
+      (* claim position -> item index; identity without a cost function,
+         a largest-first permutation with one *)
   cursor : int Atomic.t;
   mutable joined : int;  (* workers that entered this batch *)
   mutable left : int;  (* workers that exited it (completing or dying) *)
@@ -174,14 +174,10 @@ let ensure_spawned t =
            (List.length ds) want)
   end
 
-let map ?costs ?on_stats t f arr =
+let map ?cost ?on_stats t f arr =
   let len = Array.length arr in
   if len = 0 then [||]
   else begin
-    (match costs with
-    | Some c when Array.length c <> len ->
-      reject "Pool.map: costs length must match the batch"
-    | Some _ | None -> ());
     Mutex.lock t.submit;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.submit) @@ fun () ->
     let results = Array.make len None in
@@ -224,18 +220,21 @@ let map ?costs ?on_stats t f arr =
         sequential ()
       end
       else begin
-        (* Dispatch order.  Without costs: index order.  With costs:
-           largest-first (a classic LPT-style greedy) — the point is to keep
-           a straggler from landing last on an otherwise-drained batch, so
-           the biggest jobs must go out first. *)
+        (* Dispatch order.  Without a cost function: index order.  With
+           one: largest-first (a classic LPT-style greedy) — the point is to
+           keep a straggler from landing last on an otherwise-drained batch,
+           so the biggest jobs must go out first.  Costs are evaluated here,
+           once per item, and only here: a batch that never reaches the
+           workers never needs an order. *)
         let order = Array.init len Fun.id in
         Option.iter
-          (fun c ->
+          (fun cost ->
+            let c = Array.map cost arr in
             Array.sort
               (fun i j ->
                 match compare c.(j) c.(i) with 0 -> compare i j | d -> d)
               order)
-          costs;
+          cost;
         let b =
           {
             run;
@@ -308,8 +307,8 @@ let map ?costs ?on_stats t f arr =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?costs ?on_stats t f xs =
-  Array.to_list (map ?costs ?on_stats t f (Array.of_list xs))
+let map_list ?cost ?on_stats t f xs =
+  Array.to_list (map ?cost ?on_stats t f (Array.of_list xs))
 
 let shutdown t =
   Mutex.lock t.submit;

@@ -78,21 +78,24 @@ val jobs : t -> int
     hardware cap ({!stats}[.participants] reports who actually ran). *)
 
 val map :
-  ?costs:int array -> ?on_stats:(stats -> unit) -> t -> ('a -> 'b) ->
+  ?cost:('a -> int) -> ?on_stats:(stats -> unit) -> t -> ('a -> 'b) ->
   'a array -> 'b array
-(** Participants claim items in index order, one per cursor claim.  [costs]
-    (same length as the batch, validated) switches to cost-aware
-    self-scheduling: items are claimed {e largest cost first}, so the most
-    expensive item starts as early as possible and cannot become the lone
-    straggler of an otherwise-drained batch.  Costs are relative — only their order matters.
-    Results still land in input order and error propagation is unchanged.
+(** Participants claim items in index order, one per cursor claim.  [cost]
+    switches to cost-aware self-scheduling: items are claimed {e largest
+    cost first}, so the most expensive item starts as early as possible and
+    cannot become the lone straggler of an otherwise-drained batch.  Costs
+    are relative — only their order matters.  [cost] is called once per
+    item, and only when the batch is dispatched to worker domains: the
+    sequential paths (effective parallelism 1, a batch of at most one item,
+    no live workers) run in index order and never call it.  Results still
+    land in input order and error propagation is unchanged.
 
     [on_stats] receives one {!stats} record per batch (from the calling
     domain, after the batch drains), including on the sequential paths
     (where busy = span and participants = 1). *)
 
 val map_list :
-  ?costs:int array -> ?on_stats:(stats -> unit) -> t -> ('a -> 'b) ->
+  ?cost:('a -> int) -> ?on_stats:(stats -> unit) -> t -> ('a -> 'b) ->
   'a list -> 'b list
 
 val shutdown : t -> unit

@@ -9,21 +9,28 @@ type t =
 
 (* --- printing -------------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The bytes JSON requires escaped inside a string. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* [s] between quotes, escaped.  A string with nothing to escape, which is
+   nearly every string a document holds, is appended as it is. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"'
 
 (* Quantize to microsecond fixed-point.  Timings quantized at construction
    print as short fixed-point literals below instead of 17-significant-digit
@@ -48,44 +55,64 @@ let float_literal f =
     in
     if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
+(* Indentation is copied out of one shared run of spaces. *)
+let spaces = String.make 64 ' '
+
+let rec pad buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else begin
+    Buffer.add_string buf spaces;
+    pad buf (n - String.length spaces)
+  end
+
 let rec pp buf indent v =
-  let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Bool true -> Buffer.add_string buf "true"
+  | Bool false -> Buffer.add_string buf "false"
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_literal f)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
-  | List vs ->
+  | List (v :: vs) ->
     Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
-        pp buf (indent + 2) v)
-      vs;
+    item buf (indent + 2) v;
+    items buf (indent + 2) vs;
     Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
+    pad buf indent;
     Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
+  | Obj (kv :: kvs) ->
     Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
-        pp buf (indent + 2) v)
-      fields;
+    field buf (indent + 2) kv;
+    fields buf (indent + 2) kvs;
     Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
+    pad buf indent;
     Buffer.add_char buf '}'
+
+and item buf indent v =
+  pad buf indent;
+  pp buf indent v
+
+and items buf indent = function
+  | [] -> ()
+  | v :: vs ->
+    Buffer.add_string buf ",\n";
+    item buf indent v;
+    items buf indent vs
+
+and field buf indent (k, v) =
+  pad buf indent;
+  add_quoted buf k;
+  Buffer.add_string buf ": ";
+  pp buf indent v
+
+and fields buf indent = function
+  | [] -> ()
+  | kv :: kvs ->
+    Buffer.add_string buf ",\n";
+    field buf indent kv;
+    fields buf indent kvs
 
 let to_string v =
   let buf = Buffer.create 1024 in
@@ -109,11 +136,28 @@ exception Parse_error of string
    nests 7 levels. *)
 let max_depth = 512
 
+let is_number_byte = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* [word.[j..]] occurs in [s] at [i + j]; the caller checks the bounds. *)
+let rec matches_at s i word j =
+  j = String.length word
+  || (s.[i + j] = word.[j] && matches_at s i word (j + 1))
+
+(* The cursor is one [int ref]; every look-ahead reads [s] at it directly,
+   after a bounds test, so looking ahead allocates nothing. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && s.[!pos] = c in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -123,67 +167,81 @@ let parse s =
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if at c then advance () else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    if !pos + len <= n && matches_at s !pos word 0 then begin
+      pos := !pos + len;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* A [\u] escape: exactly four hex digits. *)
+  let unicode_escape () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let code = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d = hex_digit s.[i] in
+      if d < 0 then fail "bad \\u escape";
+      code := (!code lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !code
+  in
+  (* The rest of a string from its first backslash, through [buf]. *)
+  let rec escaped buf =
+    if !pos >= n then fail "unterminated string"
+    else
+      match s.[!pos] with
+      | '"' -> advance ()
+      | '\\' ->
+        advance ();
+        (if !pos >= n then fail "unterminated escape"
+         else
+           match s.[!pos] with
+           | '"' -> Buffer.add_char buf '"'; advance ()
+           | '\\' -> Buffer.add_char buf '\\'; advance ()
+           | '/' -> Buffer.add_char buf '/'; advance ()
+           | 'b' -> Buffer.add_char buf '\b'; advance ()
+           | 'f' -> Buffer.add_char buf '\012'; advance ()
+           | 'n' -> Buffer.add_char buf '\n'; advance ()
+           | 'r' -> Buffer.add_char buf '\r'; advance ()
+           | 't' -> Buffer.add_char buf '\t'; advance ()
+           | 'u' ->
+             advance ();
+             let code = unicode_escape () in
+             if code < 0x80 then Buffer.add_char buf (Char.chr code)
+             else Buffer.add_char buf '?'
+           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
+        escaped buf
+      | c ->
+        Buffer.add_char buf c;
+        advance ();
+        escaped buf
+  in
+  (* A string without a backslash is one [String.sub]; the first backslash
+     hands the rest to [escaped]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape"
-           else
-             match s.[!pos] with
-             | '"' -> Buffer.add_char buf '"'; advance ()
-             | '\\' -> Buffer.add_char buf '\\'; advance ()
-             | '/' -> Buffer.add_char buf '/'; advance ()
-             | 'b' -> Buffer.add_char buf '\b'; advance ()
-             | 'f' -> Buffer.add_char buf '\012'; advance ()
-             | 'n' -> Buffer.add_char buf '\n'; advance ()
-             | 'r' -> Buffer.add_char buf '\r'; advance ()
-             | 't' -> Buffer.add_char buf '\t'; advance ()
-             | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let code =
-                 try int_of_string ("0x" ^ String.sub s !pos 4)
-                 with Failure _ -> fail "bad \\u escape"
-               in
-               pos := !pos + 4;
-               if code < 0x80 then Buffer.add_char buf (Char.chr code)
-               else Buffer.add_char buf '?'
-             | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+      advance ()
+    done;
+    if at '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      escaped buf;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
-    let is_num c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num s.[!pos] do
+    while !pos < n && is_number_byte s.[!pos] do
       advance ()
     done;
     let lit = String.sub s start (!pos - start) in
@@ -196,25 +254,25 @@ let parse s =
   in
   let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some ('[' | '{') when depth >= max_depth -> fail "nesting too deep"
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '-' | '0' .. '9' -> parse_number ()
+    | '[' | '{' when depth >= max_depth -> fail "nesting too deep"
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           items := parse_value (depth + 1) :: !items;
           skip_ws ()
@@ -222,33 +280,32 @@ let parse s =
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
       else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value (depth + 1) in
-          k, v
-        in
-        let fields = ref [ field () ] in
+        let fields = ref [ parse_field depth ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
-          fields := field () :: !fields;
+          fields := parse_field depth :: !fields;
           skip_ws ()
         done;
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
+  and parse_field depth =
+    skip_ws ();
+    let k = parse_string () in
+    skip_ws ();
+    expect ':';
+    let v = parse_value (depth + 1) in
+    k, v
   in
   match
     let v = parse_value 0 in

@@ -40,11 +40,11 @@ val to_string : t -> string
 val write_file : path:string -> t -> unit
 
 val parse : string -> (t, string) result
-(** Strict: rejects trailing garbage; [\u] escapes outside ASCII decode to
-    ['?'] (labels in this schema are ASCII).  Containers nested more than
-    512 deep are an [Error]: far deeper than any document the project
-    writes, and shallow enough that the recursive parser's stack stays
-    small on hostile input. *)
+(** Strict: rejects trailing garbage; a [\u] escape is exactly four hex
+    digits, and one outside ASCII decodes to ['?'] (labels in this schema
+    are ASCII).  Containers nested more than 512 deep are an [Error]: far
+    deeper than any document the project writes, and shallow enough that
+    the recursive parser's stack stays small on hostile input. *)
 
 val member : string -> t -> t option
 val to_int_opt : t -> int option

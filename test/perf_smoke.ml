@@ -17,6 +17,12 @@
      boxed answer.  [certificate_golden] pins every certificate
      construction whole (its printout and all its traces); those digests
      came from commit 2b93e41.
+   - the serve path's bytes: the fingerprint and store encoding of a
+     descriptor of every job kind, the framed response to a warm 64-trial
+     chaos request, and the printout of a JSON document that reaches
+     every printer branch, all computed at commit aa29575; plus minor-word
+     ceilings on the warm chaos batch and on printing and parsing its
+     response, and a count of the pool's cost calls.
    - the grid digest: one MD5 over the digests of every trace the default
      n<=12 f<=2 sweep computes, zoo runs and certificates alike, computed
      at commit 67f5ee0.
@@ -364,6 +370,202 @@ let golden =
         ~rounds:(Interactive.decision_round ~f:1 + 1) );
   ]
 
+(* --- the serve path's keys and bytes ------------------------------------------ *)
+
+(* The warm serve path hashes job descriptors, prints response documents
+   and parses them again; these goldens hold all three to the bytes they
+   had at commit aa29575.  A descriptor is also the store key on disk, so
+   a changed fingerprint or encoding here would orphan existing journals. *)
+let golden_jobs =
+  [ Job.Nf_cell { n = 7; f = 2 };
+    Job.Conn_cell { kappa = 3; n = 7; f = 1 };
+    Job.Certify { problem = Job.Ba; n = 4; f = 1 };
+    Job.Certify { problem = Job.Ba_collapse; n = 5; f = 2 };
+    Job.Certify { problem = Job.Ba_conn; n = 6; f = 1 };
+    Job.Chaos_trial
+      { family = "complete:5"; f = 1; seed = 12345; strategy = "chaos";
+        trial = 63 };
+    Job.Campaign_trial
+      { protocol = "phase-king"; family = "harary:3:7"; f = 1; seed = -7;
+        strategy = "crash@2"; trial = 0 } ]
+
+(* One value of every [Value.t] constructor, with the byte and float edge
+   cases the fingerprint encodes. *)
+let every_value =
+  Value.(
+    tag "every"
+      (list
+         [ unit; bool true; bool false; int 0; int (-42); int max_int;
+           int min_int; float 3.25; float (-0.0); float nan; float infinity;
+           string ""; string "a\"b\\c\n\000\255";
+           pair (int 1) (pair (string "x") unit); list [];
+           tag "" (list [ tag "t" unit ]) ]))
+
+(* (label, committed fingerprint in hex, descriptor) *)
+let fingerprint_golden =
+  List.map2
+    (fun job expected -> Job.label job, expected, Job.describe job)
+    golden_jobs
+    [ "5ffad4c9be67419d"; "f083d74b127db0a6"; "e3f459c7b99d9d76";
+      "b99711a384adb56f"; "5d5565cbebc13e5e"; "2274a079e65b1534";
+      "9667d7eebf3c0068" ]
+  @ [ "a value of every constructor", "e6f2c4a9ffc64be4", every_value ]
+
+let store_keys_bytes () =
+  String.concat "\n"
+    (List.map (fun j -> Store_codec.encode (Job.describe j)) golden_jobs)
+
+(* The daemon's answer to [chaos complete:5 f=1 seed=12345 strategy=chaos
+   trials=64], built as [Serve] builds it: one slot per trial, wrapped in a
+   [Result] response, printed and framed. *)
+let chaos_trials = 64
+
+let chaos_slots eng =
+  Engine.chaos eng ~family:"complete:5" ~f:1 ~seed:12345 ~strategy:"chaos"
+    ~trials:chaos_trials
+
+let chaos_response slots =
+  Serve_proto.Response.to_json
+    (Serve_proto.Response.Result
+       (Bench_json.List
+          (List.map
+             (fun slot ->
+               Serve_proto.Slot.to_json
+                 (Result.map (fun o -> Serve_proto.Verdict.Chaos o) slot))
+             slots)))
+
+let warm_chaos_frame () =
+  let eng = Engine.create ~jobs:1 () in
+  ignore (chaos_slots eng);
+  let frame =
+    Serve_proto.frame (Bench_json.to_string (chaos_response (chaos_slots eng)))
+  in
+  Engine.shutdown eng;
+  frame
+
+(* A document that reaches every branch of the printer: escaped and raw
+   bytes in values and keys, empty and nested containers, every kind of
+   float literal, and a list nested 40 deep, past any fixed indent table. *)
+let json_document =
+  let rec nest k v = if k = 0 then v else Bench_json.List [ nest (k - 1) v ] in
+  Bench_json.(
+    Obj
+      [ "quotes", String "say \"hi\"";
+        "backslashes", String "C:\\dir\\file\\";
+        "control", String "\000\001\031\b\012\n\r\t\127";
+        "non-ascii", String "caf\195\169 \255\254";
+        "empty", List [ List []; Obj []; String "" ];
+        "nested", Obj [ "a", Obj [ "b", List [ Int 1; Obj [ "c", Null ] ] ] ];
+        ( "numbers",
+          List
+            [ Int 0; Int (-17); Int max_int; Int min_int; Float 0.5;
+              Float (-0.0); Float 1e300; Float 5e-324; Float 1e9; Float 12.0;
+              Float nan; Float infinity;
+              Float (quantize_us 0.0123456789) ] );
+        "literals", List [ Bool true; Bool false; Null ];
+        "deep", nest 40 (String "bottom");
+        "key \"with\" \\ escapes\n", Int 1 ])
+
+(* (label, committed MD5 hex, bytes); the length is pinned alongside. *)
+let serve_golden =
+  [ ( "store keys of every job kind", "f9cf8a042881390741be6a67614233bf",
+      1168, store_keys_bytes );
+    ( "warm chaos complete:5 x64 response frame",
+      "1f9251771bfb6d6a492acb23dec5bf64", 12389, warm_chaos_frame );
+    ( "printed JSON document", "d774182b2baf481704bedd09df6fed92", 4160,
+      fun () -> Bench_json.to_string json_document ) ]
+
+let serve_goldens () =
+  List.iter
+    (fun (label, expected, v) ->
+      let got = Printf.sprintf "%016Lx" (Fingerprint.of_value v) in
+      check
+        (Printf.sprintf "fingerprint of %s: %s, committed %s" label got
+           expected)
+        (got = expected))
+    fingerprint_golden;
+  List.iter
+    (fun (label, expected, len, bytes) ->
+      let s = bytes () in
+      let got = Digest.to_hex (Digest.string s) in
+      check
+        (Printf.sprintf "%s: digest %s (%d bytes), committed %s (%d bytes)"
+           label got (String.length s) expected len)
+        (got = expected && String.length s = len))
+    serve_golden;
+  (* Reading the document back and printing it again gives the same
+     bytes: the parser reads every escape the printer writes. *)
+  let printed = Bench_json.to_string json_document in
+  check "printed JSON document reads back to the same bytes"
+    (match Bench_json.parse printed with
+    | Ok doc -> Bench_json.to_string doc = printed
+    | Error _ -> false)
+
+(* A warm serve hit should cost what a lookup costs.  At commit aa29575 a
+   warm 64-trial chaos batch on a jobs=1 engine allocated 107,523 minor
+   words: every trial built its family's whole graph for a dispatch cost
+   the sequential path never read, and fingerprinting boxed an [int64] per
+   hashed byte.  Printing its response allocated 12,345 words (a buffer
+   per string, a fresh indent per line) and parsing it back 25,262 (an
+   option per look-ahead, a buffer per string).  Now they allocate 17,883,
+   4,015 and 8,009, the same in each of 10 fresh processes; each ceiling
+   is about 1.5x that, far below the old figure.  The window opens after
+   a cold and a warm batch, so it holds none of the engine's one-time
+   work. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  r, Gc.minor_words () -. w0
+
+let serve_allocation () =
+  let eng = Engine.create ~jobs:1 () in
+  ignore (chaos_slots eng);
+  ignore (chaos_slots eng);
+  let slots, batch = minor_words (fun () -> chaos_slots eng) in
+  Engine.shutdown eng;
+  let doc = chaos_response slots in
+  let printed, print = minor_words (fun () -> Bench_json.to_string doc) in
+  let parsed, parse = minor_words (fun () -> Bench_json.parse printed) in
+  check "the printed response parses back to the same document"
+    (parsed = Ok doc);
+  List.iter
+    (fun (what, words, ceiling) ->
+      check
+        (Printf.sprintf "%s allocates at most %.0f minor words (%.0f)" what
+           ceiling words)
+        (words <= ceiling))
+    [ "a warm 64-trial chaos batch", batch, 28_000.0;
+      "printing its response", print, 6_000.0;
+      "parsing its response", parse, 12_000.0 ];
+  (* The pool reads a batch's costs only to order work for its worker
+     domains: a jobs=1 pool, and a one-item batch on any pool, run in
+     index order and never call the cost function. *)
+  let calls = ref 0 in
+  let cost x =
+    incr calls;
+    x
+  in
+  let batch = Array.init 16 Fun.id in
+  let expected = Array.map succ batch in
+  let sequential = Pool.create ~jobs:1 () in
+  check "a jobs=1 pool maps the batch"
+    (Pool.map ~cost sequential succ batch = expected);
+  Pool.shutdown sequential;
+  let parallel = Pool.create ~jobs:2 ~oversubscribe:true () in
+  check "a one-item batch maps"
+    (Pool.map ~cost parallel succ [| 1 |] = [| 2 |]);
+  check
+    (Printf.sprintf "no cost is computed off the worker path (%d calls)"
+       !calls)
+    (!calls = 0);
+  check "a dispatched batch maps"
+    (Pool.map ~cost parallel succ batch = expected);
+  Pool.shutdown parallel;
+  check
+    (Printf.sprintf "a dispatched batch computes each cost once (%d calls)"
+       !calls)
+    (!calls = Array.length batch)
+
 (* --- the n<=12 f<=2 grid ------------------------------------------------------ *)
 
 (* Every trace the default sweep grid computes, mirroring
@@ -670,6 +872,8 @@ let () =
         (Printf.sprintf "%s: digest %s, committed %s" label got expected)
         (got = expected))
     (golden @ certificate_golden);
+  serve_goldens ();
+  serve_allocation ();
   grid ();
   allocation_budget ();
   relay_allocation ();
@@ -682,7 +886,8 @@ let () =
   end;
   print_endline
     (Printf.sprintf
-       "perf-smoke ok: %d golden digests + the n<=12 f<=2 grid digest + \
-        allocation budgets + cross-domain digests + one shared system + \
-        parse-cache interleaving"
-       (List.length golden + List.length certificate_golden))
+       "perf-smoke ok: %d golden digests + %d serve-path goldens + the \
+        n<=12 f<=2 grid digest + allocation budgets + cross-domain digests \
+        + one shared system + parse-cache interleaving"
+       (List.length golden + List.length certificate_golden)
+       (List.length fingerprint_golden + List.length serve_golden))

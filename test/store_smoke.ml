@@ -178,8 +178,11 @@ let seed_source dir keys =
 
 let journal_bytes dir = read_file (Filename.concat dir "journal.flm")
 
-(* Merge child mode: fold SRC into DST until killed. *)
+(* Merge child mode: fold SRC into DST until killed.  At the lowest
+   priority, so that on a busy host the watching parent, not the fold, gets
+   the CPU. *)
 let run_merge_child dst src =
+  ignore (Unix.nice 19);
   let store = open_store dst in
   (match Store.merge_from store src with
   | Ok _ -> ()
@@ -240,46 +243,77 @@ let merge_round () =
   if Store.length store <> 20 then fail "lww: key count changed";
   Store.close store;
   (* SIGKILL during a merge of a large source.  The fold writes each record
-     without an fsync, so it may finish before the kill lands; either way
-     whatever survives must be a valid store, and a re-merge must complete
-     to the byte-identical clean result. *)
+     without an fsync, so a kill on a timer can land after it finished.
+     Instead the parent watches the destination journal grow, and once it
+     holds [stop_at] records it stops the child (SIGSTOP) and kills it:
+     every run cuts the fold mid-way, and a child that finished first
+     fails the step.  Whatever survives must be a valid store, and a
+     re-merge must complete to the byte-identical clean result. *)
+  let big_n = 20_000 and stop_at = 64 in
   let big = dir "big" in
-  seed_source big (List.init 400 (fun i -> i + 1000));
+  seed_source big (List.init big_n (fun i -> i + 10_000));
   let clean = dir "clean" in
   let (_ : int list * int) = merge_all clean [ big ] in
+  let magic = String.length Journal.magic in
+  let record_bytes = (String.length (journal_bytes clean) - magic) / big_n in
+  let threshold = magic + (stop_at * record_bytes) in
   let torn = dir "torn" in
+  let journal = Filename.concat torn "journal.flm" in
+  let size () =
+    match Unix.stat journal with
+    | st -> st.Unix.st_size
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+  in
   let child =
     Unix.create_process Sys.executable_name
       [| Sys.executable_name; "--merge-child"; torn; big |]
       Unix.stdin Unix.stdout Unix.stderr
   in
-  Unix.sleepf 0.05;
-  (try Unix.kill child Sys.sigkill
-   with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
-  let _, status = Unix.waitpid [] child in
-  let killed =
-    match status with
-    | Unix.WSIGNALED s when s = Sys.sigkill -> true
-    | Unix.WEXITED 0 -> false
-    | _ -> fail "merge child ended unexpectedly"
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec watch () =
+    if size () >= threshold then None
+    else
+      match Unix.waitpid [ Unix.WNOHANG ] child with
+      | 0, _ ->
+        if Unix.gettimeofday () > deadline then begin
+          Unix.kill child Sys.sigkill;
+          ignore (Unix.waitpid [] child);
+          fail "mid-merge kill: the journal never reached %d bytes" threshold
+        end;
+        watch ()
+      | _, status -> Some status
   in
+  let status =
+    match watch () with
+    | Some status -> status
+    | None ->
+      (* A child that exited since the last look is a zombie until reaped,
+         so neither signal can fail; [waitpid] tells the two cases apart. *)
+      Unix.kill child Sys.sigstop;
+      Unix.kill child Sys.sigkill;
+      snd (Unix.waitpid [] child)
+  in
+  (match status with
+  | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+  | Unix.WEXITED 0 -> fail "mid-merge kill: the merge finished before the kill"
+  | _ -> fail "merge child ended unexpectedly");
   let store = open_store torn in
   let partial = Store.length store in
-  if partial > 400 then fail "mid-merge kill: %d keys from 400" partial;
+  if partial < 1 || partial >= big_n then
+    fail "mid-merge kill: %d keys from %d is not a partial merge" partial big_n;
   (match Store.merge_from store big with
   | Ok _ -> ()
   | Error e -> fail "re-merge: %s" (Flm_error.to_string e));
   let (_ : int) = Store.gc ~canonical:true store in
-  if Store.length store <> 400 then
-    fail "re-merge: expected 400 keys, got %d" (Store.length store);
+  if Store.length store <> big_n then
+    fail "re-merge: expected %d keys, got %d" big_n (Store.length store);
   Store.close store;
   if journal_bytes torn <> journal_bytes clean then
     fail "re-merge after kill is not byte-identical to the clean merge";
   Printf.printf
-    "store_smoke: merge: order-independent (byte-identical), LWW holds, %s \
-     at %d/400 keys resumed to byte-identical\n%!"
-    (if killed then "killed mid-merge" else "finished before the kill")
-    partial;
+    "store_smoke: merge: order-independent (byte-identical), LWW holds, \
+     killed mid-merge at %d/%d keys, resumed to byte-identical\n%!"
+    partial big_n;
   List.iter cleanup [ s1; s2; s3; s4; m1; m2; big; clean; torn ]
 
 let run_parent () =

@@ -451,6 +451,32 @@ let json_nesting () =
     (Error "nesting too deep at offset 2560")
     (Bench_json.parse (String.concat "" (List.init 600 (fun _ -> "{\"a\":"))))
 
+(* A [\u] escape is exactly four hex digits: no digit separator, no sign.
+   A number never starts with a sign, though an exponent may carry one. *)
+let json_escapes_and_signs () =
+  let case what doc expected =
+    check Alcotest.(result reject string) what expected (Bench_json.parse doc)
+  in
+  let ok what doc v =
+    check Alcotest.bool what true (Bench_json.parse doc = Ok v)
+  in
+  ok "four hex digits" {|"\u0041"|} (Bench_json.String "A");
+  ok "upper-case hex outside ASCII" {|"x\u00E9y"|} (Bench_json.String "x?y");
+  case "an underscore inside the digits" {|"\u0_41"|}
+    (Error "bad \\u escape at offset 3");
+  case "a trailing underscore" {|"\u004_"|}
+    (Error "bad \\u escape at offset 3");
+  case "a signed escape" {|"\u+041"|} (Error "bad \\u escape at offset 3");
+  case "three digits then the quote" {|"\u004"|}
+    (Error "bad \\u escape at offset 3");
+  case "a truncated escape" {|"\u00|}
+    (Error "truncated \\u escape at offset 3");
+  case "a leading plus" "+1" (Error "unexpected character '+' at offset 0");
+  case "a leading plus in a list" "[1, +2]"
+    (Error "unexpected character '+' at offset 4");
+  ok "a signed exponent" "[1e+2, -3]"
+    (Bench_json.List [ Bench_json.Float 100.0; Bench_json.Int (-3) ])
+
 let suite =
   ( "serve-proto",
     [ Alcotest.test_case "request round-trips" `Quick requests;
@@ -468,4 +494,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_float_print;
       Alcotest.test_case "non-finite bench figures" `Quick nonfinite_record;
       Alcotest.test_case "json nesting bound" `Quick json_nesting;
+      Alcotest.test_case "json escapes and signs" `Quick json_escapes_and_signs;
     ] )
